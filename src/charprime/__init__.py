@@ -9,7 +9,7 @@ __version__ = "1.0.0"
 from .arith import (HighPrecReal, UncertifiedError, constant, format_decimal,
                     half_log_ratio, parse_decimal, precision, set_working_digits,
                     working_digits)
-from .primes import PrimeChar, chi4, odd_primes, sieve_odd_primes, smallest_prime_factor
+from .primes import chi4, odd_primes
 from .beta import BetaValue, beta_closed, beta_differences, beta_direct, euler_numbers
 from .exclusion import (ExclusionState, SeriesValue, init_state, run,
                         sieved_tail_oracle, step, step_closed_form,
@@ -24,7 +24,7 @@ __all__ = [
     "HighPrecReal", "UncertifiedError", "constant", "format_decimal",
     "half_log_ratio", "parse_decimal", "precision", "set_working_digits",
     "working_digits",
-    "PrimeChar", "chi4", "odd_primes", "sieve_odd_primes", "smallest_prime_factor",
+    "chi4", "odd_primes",
     "BetaValue", "beta_closed", "beta_differences", "beta_direct", "euler_numbers",
     "ExclusionState", "SeriesValue", "init_state", "run", "sieved_tail_oracle",
     "step", "step_closed_form", "trace_to_csv", "trace_to_json",

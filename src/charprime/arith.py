@@ -8,7 +8,7 @@ result is certified to ``d`` decimal places exactly when ``err < 0.5e-d``.
 The only transcendental machinery provided is what the series work needs:
 the constants pi, ln 2 and ln pi, the expansion
 ``(1/2) ln((a+1)/(a-1)) = 1/a + 1/(3 a^3) + 1/(5 a^5) + ...`` with its
-geometric tail bound, natural logs of rationals, and a small exp.
+geometric tail bound, and natural logs of rationals.
 
 Values are immutable; operations are pure functions reading the working
 precision from a context variable, so concurrent use is safe.
@@ -279,9 +279,9 @@ def _atan_inv(n: int) -> HighPrecReal:
 
 
 def _ln2() -> HighPrecReal:
-    # ln 2 = 2 * ((1/2) ln((3+1)/(3-1))); terms shrink by 9x each, so a bit
-    # over one term per digit suffices.
-    terms = working_digits() + 8
+    # ln 2 = 2 * ((1/2) ln((3+1)/(3-1))); terms shrink by 9x each, which is
+    # log10 9 ~ 0.954 digits per term, so 21 terms per 20 digits suffice.
+    terms = working_digits() * 21 // 20 + 8
     return 2 * half_log_ratio(HighPrecReal(Decimal(3)), terms)
 
 
@@ -365,31 +365,6 @@ def ln_fraction(num: int, den: int) -> HighPrecReal:
     else:
         body = _ln_in_unit_range(HighPrecReal.from_fraction(Fraction(n, d)))
     return body + shift * ln2
-
-
-def exp_hp(x: HighPrecReal) -> HighPrecReal:
-    """exp(x) with a certified bound, for moderate |x|."""
-    ln2 = _ln2()
-    k = int((x.value / ln2.value).to_integral_value())
-    r = x - k * ln2
-    prec = working_digits()
-    cut = _ONE.scaleb(-(prec + 2))
-    term = HighPrecReal(_ONE)
-    total = HighPrecReal(_ONE)
-    i = 1
-    while True:
-        term = term * r / i
-        total = total + term
-        if term.value.copy_abs() < cut and i > r.value.copy_abs() * 2 + 2:
-            break
-        i += 1
-    # Remaining Taylor tail is dominated by a geometric series with ratio <= 1/2.
-    total = HighPrecReal(total.value, _up(total.err, 4 * cut))
-    # Sensitivity to the argument bound: |d exp| <= exp(x+e) * e <= 2*value*e.
-    scale = Fraction(2 ** k) if k >= 0 else Fraction(1, 2 ** (-k))
-    out = total * scale
-    sens = _ERR_UP.multiply(_ERR_UP.multiply(Decimal(2), out.value.copy_abs()), x.err)
-    return HighPrecReal(out.value, _up(out.err, sens))
 
 
 # ---------------------------------------------------------------------------

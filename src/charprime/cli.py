@@ -40,7 +40,7 @@ def _default_working_digits() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"invalid {ENV_WORKING_DIGITS}={raw!r}: expected an integer")
+        raise ValueError(f"invalid {ENV_WORKING_DIGITS}={raw!r}: expected an integer")
 
 
 @dataclass
@@ -179,7 +179,7 @@ def cmd_scan(args) -> int:
     try:
         tol = Decimal(args.tol)
     except InvalidOperation:
-        raise SystemExit(f"invalid --tol {args.tol!r}")
+        raise ValueError(f"invalid --tol {args.tol!r}")
     with precision(cfg.working_digits):
         if args.value is not None:
             value = parse_decimal(args.value)

@@ -77,7 +77,7 @@ def _term(p: int, n: int) -> HighPrecReal:
 
 def step(state: ExclusionState) -> ExclusionState:
     """Strip multiples of the next odd prime: V' = V - (chi/p^n)(V - s)."""
-    p = nth_odd_prime(state.k + 1).p
+    p = nth_odd_prime(state.k + 1)
     t = _term(p, state.n)
     V = state.V - t * (state.V - state.s)
     s = state.s + t
@@ -90,7 +90,7 @@ def step_closed_form(state: ExclusionState) -> ExclusionState:
 
     Kept as an independent evaluation route for equivalence checks.
     """
-    p = nth_odd_prime(state.k + 1).p
+    p = nth_odd_prime(state.k + 1)
     c = chi4(p)
     pn = p ** state.n
     V = state.V * Fraction(pn - c, pn) + state.s * Fraction(c, pn)
@@ -108,7 +108,7 @@ def composite_tail_bound(n: int, k: int) -> Decimal:
     """
     if n < 3:
         raise ValueError("rigorous tail bound needs n >= 3")
-    q = nth_odd_prime(k + 1).p
+    q = nth_odd_prime(k + 1)
     return _odd_power_tail(q * q, n)
 
 
@@ -157,7 +157,7 @@ def sieved_tail_oracle(n: int, k: int, limit: int) -> HighPrecReal:
         raise ValueError("oracle needs odd n >= 3")
     if k < 0:
         raise ValueError("k must be >= 0")
-    small = [pc.p for pc in odd_primes(k)]
+    small = odd_primes(k)
     total = HighPrecReal.exact(0)
     m = 3
     while m <= limit:

@@ -15,15 +15,15 @@ though its own series converges painfully slowly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import gcd
 
-from .arith import (HighPrecReal, _ERR_UP, _up, constant, exp_hp, ln_fraction,
+from .arith import (HighPrecReal, _ERR_UP, _ulp, _up, constant, ln_fraction,
                     precision, working_digits)
 from .beta import beta_closed
 from .exclusion import SeriesValue, composite_tail_bound, run
-from .primes import odd_primes
+from .primes import chi4, nth_odd_prime, odd_primes
 
 _ONE = Decimal(1)
 
@@ -49,7 +49,7 @@ class ProductPartials:
 def _running_products(num_primes, factor_of):
     if num_primes < 1:
         raise ValueError("num_primes must be >= 1")
-    factors = [factor_of(pc.p, pc.chi) for pc in odd_primes(num_primes)]
+    factors = [factor_of(p, chi4(p)) for p in odd_primes(num_primes)]
     partials = []
     acc = HighPrecReal.exact(1)
     for f in factors:
@@ -78,7 +78,7 @@ def product_pi2_8(num_primes: int) -> ProductPartials:
     factors, partials = _running_products(num_primes,
                                           lambda p, chi: Fraction(p * p, p * p - 1))
     last = partials[-1]
-    p_last = odd_primes(num_primes)[-1].p
+    p_last = nth_odd_prime(num_primes)
     bound = _ERR_UP.divide(_ONE, Decimal(2 * (p_last + 1)))
     extra = _ERR_UP.multiply(_ERR_UP.multiply(last.value.copy_abs(), bound), Decimal(2))
     partials[-1] = HighPrecReal(last.value, _up(last.err, extra))
@@ -244,12 +244,16 @@ def closed_form_scan(value: HighPrecReal, max_den: int, tol: Decimal) -> list[Cl
     # Candidates must sit in a narrow window around exp(ln pi - value):
     # |ln N - (ln pi - value)| < tol bounds |N - center| by roughly
     # center * (e^tol - 1); the factor below over-covers up to tol = 2.
-    center = exp_hp(lnpi - value)
+    # The centre is exp of the argument's midpoint, correctly rounded; the
+    # argument's error moves it by at most 2 * center * err, and the
+    # rounding by less than one unit in the last place.
+    arg = lnpi - value
+    center = Context(prec=digits).exp(arg.value)
     factor = Decimal(2) if tol <= Decimal("0.5") else Decimal(8)
-    half_width = center.value * tol * factor + center.err
+    half_width = center * tol * factor + 2 * center * arg.err + _ulp(center, digits)
     out = []
     for den in range(1, max_den + 1):
-        approx = center.value * den
+        approx = center * den
         window = half_width * den
         lo = int((approx - window).to_integral_value(rounding="ROUND_FLOOR"))
         hi = int((approx + window).to_integral_value(rounding="ROUND_CEILING"))

@@ -1,27 +1,19 @@
-"""Odd primes, the residue character mod 4, and smallest-prime-factor queries.
+"""Odd primes and the residue character mod 4.
 
 The prime 2 is excluded throughout: every series in this package ranges
-over odd numbers only.
+over odd numbers only.  Odd primes come from one cached table of plain
+ints.  Nothing is sieved at import; the first request sieves to 1000, and
+a request past the end of the table replaces it by a longer one, sieved to
+twice its last prime, so the table is never changed in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress
 
+_FIRST_LIMIT = 1000
 
-@dataclass(frozen=True)
-class PrimeChar:
-    """An odd prime with its residue class mod 4 and character value."""
-
-    p: int
-    residue: int
-    chi: int
-
-    @property
-    def title_sign(self) -> int:
-        """Sign of 1/p in the prime series: +1 exactly for p = 4n - 1."""
-        return -self.chi
+_odd_primes: tuple[int, ...] = ()
 
 
 def chi4(m: int) -> int:
@@ -31,50 +23,33 @@ def chi4(m: int) -> int:
     return 1 if m % 4 == 1 else -1
 
 
-@lru_cache(maxsize=None)
 def _sieve(limit: int) -> tuple[int, ...]:
-    if limit < 3:
-        return ()
+    # Odd primes <= limit; flags are read at odd indices only.
     flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, int(limit ** 0.5) + 1):
+    for i in range(3, int(limit ** 0.5) + 1, 2):
         if flags[i]:
-            flags[i * i::i] = bytearray(len(flags[i * i::i]))
-    return tuple(i for i in range(3, limit + 1, 2) if flags[i])
+            flags[i * i::2 * i] = bytes(len(range(i * i, limit + 1, 2 * i)))
+    return tuple(compress(range(3, limit + 1, 2), flags[3::2]))
 
 
-def sieve_odd_primes(limit: int) -> list[PrimeChar]:
-    """All odd primes <= limit, in increasing order; empty below 3."""
-    return [PrimeChar(p, p % 4, chi4(p)) for p in _sieve(limit)]
+def _table(count: int) -> tuple[int, ...]:
+    """The cached table, grown until it holds at least ``count`` primes."""
+    global _odd_primes
+    while len(_odd_primes) < count:
+        # Bertrand's postulate: each doubling adds at least one prime.
+        _odd_primes = _sieve(2 * _odd_primes[-1] if _odd_primes else _FIRST_LIMIT)
+    return _odd_primes
 
 
-_GROW = [1000]
-
-
-def odd_primes(count: int) -> list[PrimeChar]:
+def odd_primes(count: int) -> tuple[int, ...]:
     """The first ``count`` odd primes (3, 5, 7, ...)."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    while len(_sieve(_GROW[0])) < count:
-        _GROW[0] *= 2
-    primes = _sieve(_GROW[0])[:count]
-    return [PrimeChar(p, p % 4, chi4(p)) for p in primes]
+    return _table(count)[:count]
 
 
-def nth_odd_prime(index: int) -> PrimeChar:
+def nth_odd_prime(index: int) -> int:
     """The index-th odd prime, 1-based (1 -> 3)."""
     if index < 1:
         raise ValueError("index is 1-based")
-    return odd_primes(index)[-1]
-
-
-def smallest_prime_factor(m: int) -> int:
-    """Least prime dividing an odd m >= 3."""
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"need an odd integer >= 3, got {m}")
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return d
-        d += 2
-    return m
+    return _table(index)[index - 1]

@@ -25,7 +25,7 @@ from .arith import HighPrecReal, constant, working_digits
 from .beta import beta_closed
 from .exclusion import init_state, step
 from .logmethod import assemble_O, w_value
-from .primes import odd_primes
+from .primes import chi4, odd_primes
 
 TABLE_IDS = ("s12", "s13", "s21", "s23_26", "s28")
 
@@ -111,13 +111,6 @@ ERRATA: tuple[ErratumEntry, ...] = (
 _ERRATA_KEYS = {(e.table_id, e.label) for e in ERRATA}
 
 
-def erratum_for(table_id: str, label: str) -> ErratumEntry | None:
-    for e in ERRATA:
-        if e.table_id == table_id and e.label == label:
-            return e
-    return None
-
-
 def _places(printed: str) -> int:
     return len(printed.partition(".")[2])
 
@@ -162,8 +155,8 @@ def build_s12(config) -> ReportTable:
     """The 10-place value of pi/4 and the signed prime partial sums."""
     rows = [_row("s12", "A", "0.7853981634", constant("pi", working_digits() - 5) / 4)]
     acc = Fraction(1)
-    for (label, printed), pc in zip(_S12_PARTIALS, odd_primes(8)):
-        acc += Fraction(pc.chi, pc.p)
+    for (label, printed), p in zip(_S12_PARTIALS, odd_primes(8)):
+        acc += Fraction(chi4(p), p)
         rows.append(_row("s12", label, printed, HighPrecReal.from_fraction(acc)))
     return ReportTable("s12", tuple(rows), _config_echo(config), __version__)
 
@@ -250,8 +243,8 @@ def build_s23_26(config) -> ReportTable:
         # Lowercase rows are the plain signed partial sums 1 + sum chi/p^n,
         # printed one step past where the chain stops in some blocks.
         acc = Fraction(1)
-        for (label, printed), pc in zip(block["lower"], odd_primes(len(block["lower"]))):
-            acc += Fraction(pc.chi, pc.p ** n)
+        for (label, printed), p in zip(block["lower"], odd_primes(len(block["lower"]))):
+            acc += Fraction(chi4(p), p ** n)
             rows.append(_row("s23_26", f"n={n} {label}", printed,
                              HighPrecReal.from_fraction(acc)))
         for (label, printed), value in zip(block["brackets"], brackets):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charprime.arith import (HighPrecReal, UncertifiedError, constant, exp_hp,
+from charprime.arith import (HighPrecReal, UncertifiedError, constant,
                              format_decimal, half_log_ratio, ln_fraction,
                              parse_decimal, precision)
 from charprime.checks import _eval_program
@@ -32,6 +32,18 @@ def test_constants_against_live_oracle():
     for name, ref in [("pi", mp.pi), ("ln2", mp.log(2)), ("lnpi", mp.log(mp.pi))]:
         x = constant(name, 60)
         assert abs(x.value - Decimal(mp.nstr(+ref, 65))) < Decimal("1e-60")
+
+
+@pytest.mark.parametrize("digits", [443, 990])
+def test_constants_certify_to_the_cap(digits):
+    # ln 2 gains log10 9 ~ 0.954 digits per series term; one term per digit
+    # stopped certifying at 443 digits.
+    mp.mp.dps = digits + 20
+    for name, ref in [("pi", mp.pi), ("ln2", mp.log(2)), ("lnpi", mp.log(mp.pi))]:
+        x = constant(name, digits)
+        assert x.err < Decimal(10) ** -digits
+        ref = Decimal(mp.nstr(+ref, digits + 15))
+        assert abs(x.value - ref) <= x.err + Decimal(10) ** -(digits + 12), name
 
 
 def test_constant_examples():
@@ -95,14 +107,6 @@ def test_ln_fraction():
         x = ln_fraction(num, den)
         ref = Decimal(mp.nstr(mp.log(mp.mpf(num) / den), 55))
         assert abs(x.value - ref) < Decimal("1e-45"), (num, den)
-
-
-def test_exp_hp():
-    mp.mp.dps = 60
-    for v in ("0.81", "-0.335", "2.5", "0"):
-        x = exp_hp(hp(v))
-        ref = Decimal(mp.nstr(mp.e ** mp.mpf(v), 55))
-        assert abs(x.value - ref) <= x.err + Decimal("1e-45")
 
 
 # -- error propagation -------------------------------------------------------

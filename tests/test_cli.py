@@ -84,6 +84,11 @@ def test_reproduce_csv(capsys):
     assert out.startswith("label,printed,recomputed,delta,verdict")
 
 
+def test_reproduce_at_high_working_digits():
+    # The tables take ln 2 at working digits - 5; this failed from 448 up.
+    assert main(["reproduce", "--working-digits", "460"]) == 0
+
+
 def test_env_var_sets_working_digits():
     proc = run_cli("compute", "beta", "3", "--digits", "12",
                    env_extra={"CHARPRIME_WORKING_DIGITS": "25"})
@@ -93,7 +98,8 @@ def test_env_var_sets_working_digits():
     assert proc.returncode == 2      # 20 leaves no guard margin for 12 digits
     proc = run_cli("compute", "beta", "3", "--digits", "12",
                    env_extra={"CHARPRIME_WORKING_DIGITS": "twenty"})
-    assert proc.returncode != 0
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid CHARPRIME_WORKING_DIGITS")
 
 
 def test_cli_flag_overrides_env():
@@ -142,7 +148,9 @@ def test_scan_constructed_value(capsys):
 
 
 def test_scan_bad_tol(capsys):
-    assert run_cli("scan", "--tol", "nope").returncode != 0
+    proc = run_cli("scan", "--tol", "nope")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid --tol")
 
 
 def test_version_flag():

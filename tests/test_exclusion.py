@@ -107,8 +107,8 @@ def test_partial_sum_is_directly_recomputable():
     from charprime.primes import chi4, odd_primes
     st = advance(init_state(3), 7)
     acc = Fraction(1)
-    for pc in odd_primes(7):
-        acc += Fraction(chi4(pc.p), pc.p ** 3)
+    for p in odd_primes(7):
+        acc += Fraction(chi4(p), p ** 3)
     exact = HighPrecReal.from_fraction(acc)
     assert (st.s - exact).value.copy_abs() < Decimal("1e-40")
 

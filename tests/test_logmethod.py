@@ -59,15 +59,15 @@ def test_product_log_expansion_consistency():
     # ln of the partial product equals -2 * sum of chi-signed odd-power
     # expansions over the same primes.
     from charprime.arith import half_log_ratio
-    from charprime.primes import odd_primes
+    from charprime.primes import chi4, odd_primes
     prod = product_two(8)
     frac = Fraction(1)
     for f in prod.factors:
         frac *= f
     lhs = ln_fraction(frac.numerator, frac.denominator)
     rhs = HighPrecReal.exact(0)
-    for pc in odd_primes(8):
-        rhs = rhs - 2 * pc.chi * half_log_ratio(HighPrecReal.exact(pc.p), 40)
+    for p in odd_primes(8):
+        rhs = rhs - 2 * chi4(p) * half_log_ratio(HighPrecReal.exact(p), 40)
     assert (lhs - rhs).value.copy_abs() <= lhs.err + rhs.err + Decimal("1e-45")
 
 

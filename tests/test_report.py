@@ -5,7 +5,7 @@ import pytest
 
 from charprime.report import (ERRATA, MATCH_UNITS, TABLE_IDS, build_s12,
                               build_s13, build_s21, build_s23_26, build_s28,
-                              build_table, erratum_for, from_json, to_csv,
+                              build_table, from_json, to_csv,
                               to_json, to_text)
 
 # verdict expectations for every row that is not a plain match
@@ -119,8 +119,9 @@ def test_errata_manifest_is_consistent(tables):
         key = (entry.table_id, entry.label)
         assert key not in seen
         seen.add(key)
-    assert erratum_for("s13", "I") is not None
-    assert erratum_for("s13", "B") is None
+    s13 = {r.label: r.verdict for r in tables["s13"].rows}
+    assert s13["I"] == "erratum" and ("s13", "I") in seen
+    assert s13["B"] == "match" and ("s13", "B") not in seen
 
 
 def test_json_roundtrip_identity(tables):
