@@ -10,7 +10,7 @@ from .arith import (HighPrecReal, UncertifiedError, constant, format_decimal,
                     half_log_ratio, parse_decimal, precision, set_working_digits,
                     working_digits)
 from .primes import chi4, odd_primes
-from .beta import BetaValue, beta_closed, beta_differences, beta_direct, euler_numbers
+from .beta import BetaValue, beta_closed, beta_direct, euler_numbers
 from .exclusion import (ExclusionState, SeriesValue, init_state, run,
                         sieved_tail_oracle, step, step_closed_form,
                         trace_to_csv, trace_to_json)
@@ -25,7 +25,7 @@ __all__ = [
     "half_log_ratio", "parse_decimal", "precision", "set_working_digits",
     "working_digits",
     "chi4", "odd_primes",
-    "BetaValue", "beta_closed", "beta_differences", "beta_direct", "euler_numbers",
+    "BetaValue", "beta_closed", "beta_direct", "euler_numbers",
     "ExclusionState", "SeriesValue", "init_state", "run", "sieved_tail_oracle",
     "step", "step_closed_form", "trace_to_csv", "trace_to_json",
     "AssemblyResult", "ClosedFormCandidate", "ProductPartials", "assemble_O",

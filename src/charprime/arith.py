@@ -2,13 +2,17 @@
 
 Every quantity in this package is a :class:`HighPrecReal`: a ``Decimal``
 value carried at a configurable working precision together with a
-conservative absolute error bound.  Arithmetic propagates the bound, so a
-result is certified to ``d`` decimal places exactly when ``err < 0.5e-d``.
+conservative absolute error bound.  Arithmetic propagates the bound, and a
+result is certified to ``d`` decimal places when ``err < 0.5e-d``: its
+``d``-place rounding is then faithful, within one unit in the ``d``-th
+place of every point the bound admits (not necessarily the correctly
+rounded value of the true number).
 
 The only transcendental machinery provided is what the series work needs:
-the constants pi, ln 2 and ln pi, the expansion
-``(1/2) ln((a+1)/(a-1)) = 1/a + 1/(3 a^3) + 1/(5 a^5) + ...`` with its
-geometric tail bound, and natural logs of rationals.
+one odd-power series, ``(1/2) ln((a+1)/(a-1)) = 1/a + 1/(3 a^3) + ...``
+and its alternating twin ``atan(1/a)``, summed until the terms fall below
+the working precision and closed with a geometric tail bound.  It gives
+pi (Machin's formula), ln 2, ln pi and natural logs of rationals.
 
 Values are immutable; operations are pure functions reading the working
 precision from a context variable, so concurrent use is safe.
@@ -212,7 +216,14 @@ class HighPrecReal:
     # -- inspection --------------------------------------------------------
 
     def certifies(self, d: int) -> bool:
-        """True when rounding to d decimal places cannot be off by one unit."""
+        """True when err < 0.5e-d, so the d-place rounding is faithful.
+
+        The rounded value is then within one unit in the d-th place of every
+        point in [value - err, value + err].  It may still differ by that one
+        unit from the correctly rounded true value: (0.123450001 +/- 1e-8)
+        certifies 4 places and rounds to 0.1235, although 0.12344999 lies in
+        the interval and rounds to 0.1234.
+        """
         return self.err < Decimal("0.5").scaleb(-d)
 
     def round_decimal(self, d: int) -> Decimal:
@@ -255,95 +266,65 @@ def constant(name: str, digits: int) -> HighPrecReal:
 
 
 def _pi() -> HighPrecReal:
-    # Machin: pi = 16 atan(1/5) - 4 atan(1/239); both series alternate, so
-    # the truncation error is bounded by the first omitted term.
-    return 16 * _atan_inv(5) - 4 * _atan_inv(239)
+    # Machin: pi = 16 atan(1/5) - 4 atan(1/239).
+    return (16 * _odd_power_series(HighPrecReal.exact(5), alternating=True)
+            - 4 * _odd_power_series(HighPrecReal.exact(239), alternating=True))
 
 
-def _atan_inv(n: int) -> HighPrecReal:
-    prec = working_digits()
-    cut = _ONE.scaleb(-(prec + 2))
-    inv = HighPrecReal(_ONE) / HighPrecReal.exact(n)
+def _ln2() -> HighPrecReal:
+    # ln 2 = 2 * ((1/2) ln((3+1)/(3-1))).
+    return 2 * half_log_ratio(HighPrecReal.exact(3))
+
+
+def _lnpi() -> HighPrecReal:
+    # ln pi = ln 2 + ln x with x = pi/2 in (1, 2), and
+    # ln x = 2 * ((1/2) ln((a+1)/(a-1))) for a = (x+1)/(x-1) = (pi+2)/(pi-2).
+    pi = _pi()
+    return _ln2() + 2 * half_log_ratio((pi + 2) / (pi - 2))
+
+
+def _odd_power_series(a: HighPrecReal, alternating: bool = False) -> HighPrecReal:
+    """sum_k (+-1)**k / ((2k+1) a**(2k+1)) for a > 1, at working precision.
+
+    All signs positive gives (1/2) ln((a+1)/(a-1)); alternating signs give
+    atan(1/a).  Summation stops at the first term below
+    cut = 10**-(working digits + 2); with its own rounding error that term is
+    below cut + term.err.  Each later term is at most a**-2 times the one
+    before, so the omitted tail, of either sign pattern, is at most
+    (cut + term.err) / (1 - a**-2), evaluated with a rounded down.
+    """
+    a_low = _ERR_DOWN.subtract(a.value, a.err)
+    if a_low <= 1:
+        raise ValueError("the odd-power series needs a > 1")
+    cut = _ONE.scaleb(-(working_digits() + 2))
+    inv = HighPrecReal(_ONE) / a
     inv2 = inv * inv
-    power = inv
-    total = inv
+    power = total = inv
     k = 1
     while True:
         power = power * inv2
         term = power / (2 * k + 1)
         if term.value < cut:
             break
-        total = total + term if k % 2 == 0 else total - term
+        total = total - term if alternating and k % 2 else total + term
         k += 1
-    return HighPrecReal(total.value, _up(total.err, cut))
+    inv_hi = _ERR_UP.divide(_ONE, a_low)
+    tail = _ERR_UP.divide(_up(cut, term.err),
+                          _ERR_DOWN.subtract(_ONE, _ERR_UP.multiply(inv_hi, inv_hi)))
+    return HighPrecReal(total.value, _up(total.err, tail))
 
 
-def _ln2() -> HighPrecReal:
-    # ln 2 = 2 * ((1/2) ln((3+1)/(3-1))); terms shrink by 9x each, which is
-    # log10 9 ~ 0.954 digits per term, so 21 terms per 20 digits suffice.
-    terms = working_digits() * 21 // 20 + 8
-    return 2 * half_log_ratio(HighPrecReal(Decimal(3)), terms)
+def half_log_ratio(a) -> HighPrecReal:
+    """(1/2) ln((a+1)/(a-1)) = 1/a + 1/(3 a^3) + 1/(5 a^5) + ... for a > 1.
 
-
-def _lnpi() -> HighPrecReal:
-    pi = _pi()
-    two = HighPrecReal.exact(2)
-    return _ln2() + _ln_in_unit_range(pi / two)
-
-
-def _ln_in_unit_range(x: HighPrecReal) -> HighPrecReal:
-    # ln x for x in (1, 2), via 2 atanh((x-1)/(x+1)); the series terms are
-    # positive and bounded by a geometric tail.
-    u = (x - 1) / (x + 1)
-    prec = working_digits()
-    cut = _ONE.scaleb(-(prec + 2))
-    u2 = u * u
-    power = u
-    total = u
-    k = 1
-    while True:
-        power = power * u2
-        term = power / (2 * k + 1)
-        if term.value.copy_abs() < cut:
-            break
-        total = total + term
-        k += 1
-    u_hi = _up(u.value.copy_abs(), u.err)
-    geom = _ERR_UP.divide(cut, _ERR_DOWN.subtract(_ONE, _ERR_UP.multiply(u_hi, u_hi)))
-    return HighPrecReal((2 * total).value, _up((2 * total).err, 2 * geom))
-
-
-def half_log_ratio(a, terms: int) -> HighPrecReal:
-    """Truncated series for (1/2) ln((a+1)/(a-1)), with certified tail.
-
-    The tail after ``terms`` terms is bounded by
-    ``(1/a)**(2 t + 1) / ((2 t + 1) (1 - 1/a**2))`` evaluated with a rounded
-    toward the bound-increasing side.
+    The series is summed until its terms fall below the working precision,
+    and the bound covers the omitted tail; the term count grows like
+    working digits / log10(a**2).
     """
     a = HighPrecReal._coerce(a)
     if a is NotImplemented:
         raise TypeError("a must be a number")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    a_low = _ERR_DOWN.subtract(a.value, a.err)
-    if a_low <= 1:
-        raise ValueError("half_log_ratio requires a > 1")
-    inv = HighPrecReal(_ONE) / a
-    inv2 = inv * inv
-    power = inv
-    total = inv
-    for k in range(1, terms):
-        power = power * inv2
-        total = total + power / (2 * k + 1)
-    # Tail bound with 1/a rounded up.
-    inv_hi = _ERR_UP.divide(_ONE, a_low)
-    t = 2 * terms + 1
-    tail_num = _ERR_UP.power(inv_hi, t)
-    tail = _ERR_UP.divide(
-        tail_num,
-        _ERR_DOWN.multiply(Decimal(t), _ERR_DOWN.subtract(_ONE, _ERR_UP.multiply(inv_hi, inv_hi))),
-    )
-    return HighPrecReal(total.value, _up(total.err, tail))
+    return _odd_power_series(a)
 
 
 def ln_fraction(num: int, den: int) -> HighPrecReal:
@@ -363,7 +344,8 @@ def ln_fraction(num: int, den: int) -> HighPrecReal:
     if n == d:
         body = HighPrecReal(_ZERO)
     else:
-        body = _ln_in_unit_range(HighPrecReal.from_fraction(Fraction(n, d)))
+        # ln(n/d) = 2 * ((1/2) ln((a+1)/(a-1))) with a = (n+d)/(n-d) > 3.
+        body = 2 * half_log_ratio(Fraction(n + d, n - d))
     return body + shift * ln2
 
 

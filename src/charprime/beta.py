@@ -78,13 +78,6 @@ def beta_direct(n: int, terms: int) -> BetaValue:
     return BetaValue(n, HighPrecReal(total.value, _up(total.err, omitted.value, omitted.err)))
 
 
-def beta_differences(values: list[BetaValue]) -> list[HighPrecReal]:
-    """Successive differences beta(n+2) - beta(n) down a list of values."""
-    if len(values) < 2:
-        raise ValueError("need at least two values")
-    return [b.value - a.value for a, b in zip(values, values[1:])]
-
-
 def _require_odd(n: int) -> None:
     if n < 1 or n % 2 == 0:
         raise ValueError(f"exponent must be an odd integer >= 1, got {n}")

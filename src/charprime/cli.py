@@ -7,8 +7,8 @@ Subcommands:
   verify     run the self-check suites
   scan       search for a simple rational N with value = ln(pi) - ln(N)
 
-Exit codes: 0 success; 1 a reproduction row mismatched or a check failed;
-2 bad usage or an uncertifiable request.
+Exit codes: 0 success; 1 a reproduction row mismatched, a check failed or
+stdout was closed early; 2 bad usage or an uncertifiable request.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ def _certified_digits(value) -> int:
     if value.err == 0:
         return 999
     d = 0
-    half = Decimal("0.5")
-    while value.err < half.scaleb(-(d + 1)) and d < 200:
+    while d < 200 and value.certifies(d + 1):
         d += 1
     return d
 
@@ -230,7 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise again, and end without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UncertifiedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

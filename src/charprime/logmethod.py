@@ -200,17 +200,20 @@ def master_identity_residual(max_k: int, digits: int = 11,
     """(1/2) ln 2 minus the partial sum of W(2k+1)/(2k+1) through max_k.
 
     The k = 0 term W(1) is taken from an assembly at higher depth, so the
-    residual isolates the genuine tail beyond max_k.
+    residual isolates the genuine tail beyond max_k; the partial sum is that
+    assembly's own running value after max_k terms.
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
-    depth = reference_depth or max_k + 10
-    o_ref = assemble_O(depth, digits).series.value
-    total = constant("ln2", digits + 8) / 2 - o_ref
-    for k in range(1, max_k + 1):
-        n = 2 * k + 1
-        total = total - w_value(n, digits + 4).value / n
-    return total
+    depth = max_k + 10 if reference_depth is None else reference_depth
+    if depth <= max_k:
+        raise ValueError("reference_depth must exceed max_k")
+    assembly = assemble_O(depth, digits)
+    if max_k == 0:
+        running = constant("ln2", digits + 8) / 2
+    else:
+        running = assembly.steps[max_k - 1].running
+    return running - assembly.series.value
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charprime.arith import (HighPrecReal, UncertifiedError, constant,
-                             format_decimal, half_log_ratio, ln_fraction,
-                             parse_decimal, precision)
+from charprime.arith import (HighPrecReal, UncertifiedError, _odd_power_series,
+                             constant, format_decimal, half_log_ratio,
+                             ln_fraction, parse_decimal, precision)
 from charprime.checks import _eval_program
 
 from goldens import HALF_LN_3_2, LN2, LNPI, PI
@@ -62,43 +62,55 @@ def test_constant_errors():
         constant("pi", 100_000)
 
 
-# -- half_log_ratio ----------------------------------------------------------
+# -- the odd-power series ----------------------------------------------------
 
 def test_half_log_ratio_at_three_gives_half_ln2():
-    x = half_log_ratio(hp("3"), 60)
+    x = half_log_ratio(hp("3"))
     assert abs(x.value - LN2 / 2) <= x.err + Decimal("1e-28")
     assert x.err < Decimal("1e-29")
 
 
-def test_half_log_ratio_single_term():
-    x = half_log_ratio(hp("10"), 1)
-    assert x.value == Decimal("0.1")
-    # The bound must cover the first omitted term 1/(3 * 1000).
-    assert x.err >= Decimal(1) / 3000
-    assert x.err < Decimal("0.001")
-
-
 def test_half_log_ratio_at_five():
-    x = half_log_ratio(hp("5"), 30)
+    x = half_log_ratio(hp("5"))
     assert abs(x.value - HALF_LN_3_2) <= x.err + Decimal("1e-19")
     assert x.round_decimal(10) == Decimal("0.2027325541")
 
 
 def test_half_log_ratio_domain():
     with pytest.raises(ValueError):
-        half_log_ratio(hp("1"), 5)
+        half_log_ratio(hp("1"))
     with pytest.raises(ValueError):
-        half_log_ratio(hp("0.5"), 5)
+        half_log_ratio(hp("0.5"))
     with pytest.raises(ValueError):
-        half_log_ratio(hp("3"), 0)
+        half_log_ratio(hp("1.5", "0.5"))
 
 
-@pytest.mark.parametrize("a", [2, 3, 5, 10])
-@pytest.mark.parametrize("terms", [1, 4, 9])
-def test_half_log_ratio_tail_dominates_refinement(a, terms):
-    coarse = half_log_ratio(hp(a), terms)
-    fine = half_log_ratio(hp(a), terms + 10)
+SERIES_ARGS = [2, 3, 5, 10, 239]
+
+
+@pytest.mark.parametrize("a", SERIES_ARGS)
+@pytest.mark.parametrize("digits", [15, 30, 50])
+def test_half_log_ratio_tail_dominates_refinement(a, digits):
+    with precision(digits):
+        coarse = half_log_ratio(hp(a))
+    with precision(2 * digits):
+        fine = half_log_ratio(hp(a))
     assert abs(coarse.value - fine.value) <= coarse.err
+    # Rounding adds up over the terms: at most a thousand units of the last place.
+    assert coarse.err < Decimal(10) ** (3 - digits)
+
+
+@pytest.mark.parametrize("a", SERIES_ARGS)
+@pytest.mark.parametrize("digits", [15, 50, 200])
+def test_odd_power_series_contains_mpmath(a, digits):
+    mp.mp.dps = digits + 30
+    refs = [(False, mp.atanh(mp.mpf(1) / a)), (True, mp.atan(mp.mpf(1) / a))]
+    with precision(digits):
+        for alternating, ref in refs:
+            x = _odd_power_series(hp(a), alternating=alternating)
+            ref = Decimal(mp.nstr(ref, digits + 25))
+            assert abs(x.value - ref) <= x.err + Decimal(10) ** -(digits + 20), alternating
+            assert x.err < Decimal(10) ** (3 - digits)
 
 
 def test_ln_fraction():
@@ -187,6 +199,25 @@ def test_format_parse_roundtrip(frac, d):
     x = HighPrecReal.from_fraction(frac)
     back = parse_decimal(format_decimal(x, d, allow_uncertified=True))
     assert (back.value - x.value).copy_abs() <= Decimal("0.5").scaleb(-d) + x.err
+
+
+@given(st.decimals(min_value=-10, max_value=10, places=12),
+       st.integers(min_value=0, max_value=10),
+       st.fractions(min_value=0, max_value=2, max_denominator=1000))
+@example(Decimal("0.123450001"), 4, Fraction(1, 5000))
+@settings(max_examples=200, deadline=None)
+def test_certified_rounding_is_faithful(value, d, err_scale):
+    """Once certified, the d-place rounding is within one unit of every point.
+
+    The distance to the rounded value is largest at an end of the interval.
+    """
+    err = Decimal(err_scale.numerator) / err_scale.denominator * Decimal("0.5").scaleb(-d)
+    x = HighPrecReal(value, err)
+    if not x.certifies(d):
+        return
+    rounded = x.round_decimal(d)
+    for end in (value - err, value + err):
+        assert (rounded - end).copy_abs() < Decimal(1).scaleb(-d)
 
 
 def test_parse_rejects_garbage():

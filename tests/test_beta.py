@@ -6,8 +6,7 @@ import mpmath as mp
 import pytest
 
 from charprime.arith import HighPrecReal
-from charprime.beta import (BetaValue, beta_closed, beta_differences,
-                            beta_direct, euler_numbers)
+from charprime.beta import BetaValue, beta_closed, beta_direct, euler_numbers
 
 from goldens import BETA, EULER_NUMBERS_9
 
@@ -97,18 +96,11 @@ def test_beta_values_increase_toward_one():
 
 def test_beta_differences_match_prints():
     values = [beta_closed(n, 20) for n in (3, 5, 7, 9, 11, 13, 15)]
-    diffs = beta_differences(values)
+    diffs = [b.value - a.value for a, b in zip(values, values[1:])]
     assert [d.round_decimal(7) for d in diffs] == [
         Decimal("0.0272117"), Decimal("0.0033967"), Decimal("0.0003952"),
         Decimal("0.0000447"), Decimal("0.0000050"), Decimal("0.0000006")]
     assert abs(diffs[0].value - Decimal("0.0272116818")) < Decimal("1e-9")
-
-
-def test_beta_differences_edges():
-    b3 = beta_closed(3, 20)
-    assert beta_differences([b3, b3])[0].value == 0
-    with pytest.raises(ValueError):
-        beta_differences([b3])
 
 
 def test_beta_value_type():

@@ -153,6 +153,19 @@ def test_scan_bad_tol(capsys):
     assert proc.stderr.startswith("error: invalid --tol")
 
 
+@pytest.mark.parametrize("args", [("reproduce",), ("compute", "W", "3"), ("verify",)])
+def test_closed_stdout_pipe_ends_quietly(args):
+    env = dict(os.environ)
+    env.pop("CHARPRIME_WORKING_DIGITS", None)
+    proc = subprocess.Popen(CLI + list(args), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait()
+    assert "Traceback" not in err
+    assert proc.returncode == 1
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0

@@ -67,7 +67,7 @@ def test_product_log_expansion_consistency():
     lhs = ln_fraction(frac.numerator, frac.denominator)
     rhs = HighPrecReal.exact(0)
     for p in odd_primes(8):
-        rhs = rhs - 2 * chi4(p) * half_log_ratio(HighPrecReal.exact(p), 40)
+        rhs = rhs - 2 * chi4(p) * half_log_ratio(HighPrecReal.exact(p))
     assert (lhs - rhs).value.copy_abs() <= lhs.err + rhs.err + Decimal("1e-45")
 
 
@@ -167,6 +167,13 @@ def test_master_identity_residual(max_k):
 def test_master_identity_residual_shrinks():
     values = [master_identity_residual(k).value for k in (0, 1, 2, 3)]
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
+
+
+def test_master_identity_residual_needs_deeper_reference():
+    with pytest.raises(ValueError, match="reference_depth"):
+        master_identity_residual(3, reference_depth=3)
+    with pytest.raises(ValueError, match="reference_depth"):
+        master_identity_residual(0, reference_depth=0)
 
 
 # -- closed-form scan ----------------------------------------------------------

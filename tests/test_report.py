@@ -3,6 +3,7 @@ from decimal import Decimal
 
 import pytest
 
+from charprime.beta import beta_closed
 from charprime.report import (ERRATA, MATCH_UNITS, TABLE_IDS, build_s12,
                               build_s13, build_s21, build_s23_26, build_s28,
                               build_table, from_json, to_csv,
@@ -74,6 +75,11 @@ def test_s21_rows(tables):
     assert rows["U"].delta == -3
     assert rows["R-Q"].delta == -2
     assert rows["S-R"].delta == 0
+    diffs = [rows[label].recomputed for label in ("Q-P", "R-Q", "S-R", "T-S", "U-T", "V-U")]
+    assert diffs == ["0.0272117", "0.0033967", "0.0003952",
+                     "0.0000447", "0.0000050", "0.0000006"]
+    q_minus_p = beta_closed(5, 20).value - beta_closed(3, 20).value
+    assert format(q_minus_p.round_decimal(7), "f") == rows["Q-P"].recomputed
 
 
 def test_s23_26_rows(tables):
