@@ -55,12 +55,6 @@ def working_digits() -> int:
     return _working_digits.get()
 
 
-def set_working_digits(digits: int) -> None:
-    if not 1 <= digits <= MAX_DIGITS:
-        raise ValueError(f"working digits must be in 1..{MAX_DIGITS}, got {digits}")
-    _working_digits.set(digits)
-
-
 @contextmanager
 def precision(digits: int):
     """Temporarily switch the working precision."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
 from . import __version__
-from .arith import UncertifiedError, format_decimal, parse_decimal, precision
+from .arith import format_decimal, parse_decimal, precision
 from .beta import beta_closed
 from .checks import run_checks
 from .exclusion import SeriesValue
@@ -81,7 +81,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--working-digits", type=int, default=None,
                    help=f"internal precision (default 50, or {ENV_WORKING_DIGITS})")
     p.add_argument("--primes", type=int, default=10_000,
-                   help="cap on exclusion depth in primes (default 10000)")
+                   help="cap on exclusion depth in primes (default 10000); read by "
+                        "compute W n for n >= 3, reproduce (table s28) and verify "
+                        "(the oracle steps); compute W 1, compute beta and scan "
+                        "ignore it")
     p.add_argument("--max-k", type=int, default=10,
                    help="assembly depth: terms W(2k+1)/(2k+1) (default 10)")
     p.add_argument("--format", choices=FORMATS, default="text")
@@ -239,9 +242,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except UncertifiedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,10 +19,7 @@ exponents are independent and deterministic under any scheduling.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -43,26 +40,11 @@ class SeriesValue:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    k: int
-    prime: int
-    value: HighPrecReal
-    partial_sum: HighPrecReal
-
-
-@dataclass(frozen=True)
 class ExclusionState:
     n: int
     k: int
     V: HighPrecReal
     s: HighPrecReal
-    trace: tuple[TraceStep, ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
-class RunResult:
-    series: SeriesValue
-    state: ExclusionState
 
 
 def init_state(n: int, digits: int | None = None) -> ExclusionState:
@@ -80,9 +62,7 @@ def step(state: ExclusionState) -> ExclusionState:
     p = nth_odd_prime(state.k + 1)
     t = _term(p, state.n)
     V = state.V - t * (state.V - state.s)
-    s = state.s + t
-    rec = TraceStep(state.k + 1, p, V, s)
-    return ExclusionState(state.n, state.k + 1, V, s, state.trace + (rec,))
+    return ExclusionState(state.n, state.k + 1, V, state.s + t)
 
 
 def step_closed_form(state: ExclusionState) -> ExclusionState:
@@ -94,9 +74,7 @@ def step_closed_form(state: ExclusionState) -> ExclusionState:
     c = chi4(p)
     pn = p ** state.n
     V = state.V * Fraction(pn - c, pn) + state.s * Fraction(c, pn)
-    s = state.s + _term(p, state.n)
-    rec = TraceStep(state.k + 1, p, V, s)
-    return ExclusionState(state.n, state.k + 1, V, s, state.trace + (rec,))
+    return ExclusionState(state.n, state.k + 1, V, state.s + _term(p, state.n))
 
 
 def composite_tail_bound(n: int, k: int) -> Decimal:
@@ -119,7 +97,7 @@ def _odd_power_tail(start: int, n: int) -> Decimal:
     return _up(first.value, first.err, integral.value, integral.err)
 
 
-def run(n: int, num_primes: int, digits: int | None = None) -> RunResult:
+def run(n: int, num_primes: int, digits: int | None = None) -> SeriesValue:
     """Exclude ``num_primes`` primes and report W(n) ~= 1 - V.
 
     For n >= 3 the error bound is rigorous (arithmetic plus the surviving
@@ -142,57 +120,32 @@ def run(n: int, num_primes: int, digits: int | None = None) -> RunResult:
         err = _up(w.err, (state.V - previous).value.copy_abs())
         rigorous = False
     value = HighPrecReal(w.value, err)
-    series = SeriesValue(series="W", n=n, value=value, method="exclusion", rigorous=rigorous)
-    return RunResult(series=series, state=state)
+    return SeriesValue(series="W", n=n, value=value, method="exclusion", rigorous=rigorous)
 
 
 def sieved_tail_oracle(n: int, k: int, limit: int) -> HighPrecReal:
     """Brute-force sum over odd m in [3, limit] with spf(m) > p_k of chi4(m)/m^n.
 
-    Independent check of the state invariant V - s; the error bound covers
-    the terms beyond ``limit``.  n = 1 is rejected, its tail does not admit
-    a useful absolute bound.
+    Independent check of the state invariant V - s.  The terms are summed as
+    integers scaled by 10^(working digits + 5), each floored, and converted
+    once; the error bound covers those floors, the one conversion and the
+    terms beyond ``limit``.  n = 1 is rejected, its tail does not admit a
+    useful absolute bound.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("oracle needs odd n >= 3")
     if k < 0:
         raise ValueError("k must be >= 0")
     small = odd_primes(k)
-    total = HighPrecReal.exact(0)
-    m = 3
-    while m <= limit:
+    places = working_digits() + 5
+    scale = 10 ** places
+    total = count = 0
+    for m in range(3, limit + 1, 2):
         if all(m % p for p in small):
-            total = total + Fraction(chi4(m), m ** n)
-        m += 2
+            total += chi4(m) * (scale // m ** n)
+            count += 1
+    value = HighPrecReal.from_fraction(Fraction(total, scale))
+    # Each floor is off by less than one unit of 1/scale.
+    floors = Decimal(count).scaleb(-places)
     start = limit + 1 if limit % 2 == 0 else limit + 2
-    return HighPrecReal(total.value, _up(total.err, _odd_power_tail(start, n)))
-
-
-# -- trace export -----------------------------------------------------------
-
-TRACE_FIELDS = ("prime", "letter_index", "V", "s", "err")
-
-
-def trace_rows(state: ExclusionState) -> list[dict]:
-    return [
-        {
-            "prime": t.prime,
-            "letter_index": t.k,
-            "V": str(t.value.value),
-            "s": str(t.partial_sum.value),
-            "err": str(t.value.err),
-        }
-        for t in state.trace
-    ]
-
-
-def trace_to_csv(state: ExclusionState) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=TRACE_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(trace_rows(state))
-    return buf.getvalue()
-
-
-def trace_to_json(state: ExclusionState) -> str:
-    return json.dumps({"n": state.n, "steps": trace_rows(state)}, indent=2) + "\n"
+    return HighPrecReal(value.value, _up(value.err, floors, _odd_power_tail(start, n)))

@@ -14,6 +14,7 @@ though its own series converges painfully slowly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -123,15 +124,14 @@ def w_value(n: int, digits: int, max_primes: int = 10_000) -> SeriesValue:
         w = 1 - bv.value
         value = HighPrecReal(w.value, _up(w.err, beta_complement_bound(n)))
         return SeriesValue("W", n, value, method="beta-complement", rigorous=True)
-    depth = None
-    for k in range(1, max_primes + 1):
-        if composite_tail_bound(n, k) < tol / 4:
-            depth = k
-            break
-    if depth is None:
+    # The composite tail bound never grows with k, so the least clearing
+    # depth is found by bisection.
+    depth = bisect_left(range(1, max_primes + 1), True,
+                        key=lambda k: composite_tail_bound(n, k) < tol / 4) + 1
+    if depth > max_primes:
         raise ValueError(
             f"cannot certify W({n}) to {digits} digits within {max_primes} primes")
-    return run(n, depth, digits + 8).series
+    return run(n, depth, digits + 8)
 
 
 # ---------------------------------------------------------------------------

@@ -342,10 +342,3 @@ def to_json_obj(table: ReportTable) -> dict:
 
 def to_json(table: ReportTable) -> str:
     return json.dumps(to_json_obj(table), indent=2) + "\n"
-
-
-def from_json(text: str) -> ReportTable:
-    obj = json.loads(text)
-    rows = tuple(Row(r["label"], r["printed"], r["recomputed"], r["delta"], r["verdict"])
-                 for r in obj["rows"])
-    return ReportTable(obj["table_id"], rows, obj["config"], obj["version"])

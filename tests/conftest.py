@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from charprime.arith import set_working_digits
+from charprime.arith import precision
 from charprime.cli import RunConfig
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -18,9 +18,8 @@ decimal.getcontext().prec = 200
 @pytest.fixture(autouse=True)
 def default_precision():
     """Pin the working precision so tests cannot leak settings."""
-    set_working_digits(50)
-    yield
-    set_working_digits(50)
+    with precision(50):
+        yield
 
 
 @pytest.fixture

@@ -117,9 +117,9 @@ def test_criterion_3_first_power_trace():
 def test_criterion_4_intermediate_assemblies():
     c = Criterion(4, "worked assemblies")
     from charprime.arith import constant
-    p_run = run(3, 4).series.value
-    q_run = run(5, 2).series.value
-    r_run = run(7, 1).series.value
+    p_run = run(3, 4).value
+    q_run = run(5, 2).value
+    r_run = run(7, 1).value
     for name, value, printed in (("P", p_run, "0.0322521"),
                                  ("Q", q_run, "0.0038581"),
                                  ("R", r_run, "0.0004455")):

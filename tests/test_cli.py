@@ -1,10 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import charprime
 from charprime.cli import main
 
 CLI = [sys.executable, "-m", "charprime.cli"]
@@ -175,3 +178,13 @@ def test_version_flag():
 def test_usage_error_on_missing_command():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+def test_readme_library_surface_is_exported():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library surface", 1)[1]
+    block = re.search(r"from charprime import \((.*?)\)", section, re.S).group(1)
+    names = [name.strip() for line in block.splitlines()
+             for name in line.split("#")[0].split(",") if name.strip()]
+    assert names
+    assert [n for n in names if n not in charprime.__all__] == []

@@ -1,15 +1,14 @@
-import csv
-import io
-import json
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from charprime.arith import precision
 from charprime.beta import beta_closed
-from charprime.exclusion import (composite_tail_bound, init_state, run,
-                                 sieved_tail_oracle, step, step_closed_form,
-                                 trace_to_csv, trace_to_json)
+from charprime.exclusion import (_odd_power_tail, composite_tail_bound,
+                                 init_state, run, sieved_tail_oracle, step,
+                                 step_closed_form)
+from charprime.primes import chi4, nth_odd_prime, odd_primes
 
 from goldens import (BETA, ORACLE_N3_K4_M169, P_AT_DEPTH4, Q_AT_DEPTH2,
                      R_AT_DEPTH1, S13_CHAIN, S23_CHAIN_N3, S24_CHAIN_N5,
@@ -93,7 +92,7 @@ def test_step_changes_bounded_by_next_term():
     st = init_state(3)
     for _ in range(8):
         nxt = step(st)
-        p = nxt.trace[-1].prime
+        p = nth_odd_prime(nxt.k)
         bound = (st.V - st.s) / p ** 3
         change = (nxt.V - st.V).value.copy_abs()
         allowance = bound.err + st.V.err + st.s.err + nxt.V.err
@@ -102,9 +101,7 @@ def test_step_changes_bounded_by_next_term():
 
 
 def test_partial_sum_is_directly_recomputable():
-    from fractions import Fraction
     from charprime.arith import HighPrecReal
-    from charprime.primes import chi4, odd_primes
     st = advance(init_state(3), 7)
     acc = Fraction(1)
     for p in odd_primes(7):
@@ -114,28 +111,28 @@ def test_partial_sum_is_directly_recomputable():
 
 
 def test_run_at_source_depths():
-    assert abs(run(3, 4).series.value.value - P_AT_DEPTH4) < Decimal("1e-19")
-    assert abs(run(5, 2).series.value.value - Q_AT_DEPTH2) < Decimal("1e-19")
-    assert abs(run(7, 1).series.value.value - R_AT_DEPTH1) < Decimal("1e-19")
-    assert run(3, 4).series.value.round_decimal(7) == Decimal("0.0322522")
-    assert run(5, 2).series.value.round_decimal(7) == Decimal("0.0038581")
-    assert run(7, 1).series.value.round_decimal(7) == Decimal("0.0004457")
+    assert abs(run(3, 4).value.value - P_AT_DEPTH4) < Decimal("1e-19")
+    assert abs(run(5, 2).value.value - Q_AT_DEPTH2) < Decimal("1e-19")
+    assert abs(run(7, 1).value.value - R_AT_DEPTH1) < Decimal("1e-19")
+    assert run(3, 4).value.round_decimal(7) == Decimal("0.0322522")
+    assert run(5, 2).value.round_decimal(7) == Decimal("0.0038581")
+    assert run(7, 1).value.round_decimal(7) == Decimal("0.0004457")
 
 
 def test_run_bound_covers_true_value():
     for n in (3, 5, 7, 9):
         for depth in (1, 3, 6):
-            res = run(n, depth).series
+            res = run(n, depth)
             assert res.rigorous
             assert abs(res.value.value - W_TRUE[n]) <= res.value.err, (n, depth)
 
 
 def test_run_first_power_not_rigorous():
     res = run(1, 9)
-    assert not res.series.rigorous
-    assert res.series.method == "exclusion"
-    assert res.series.value.err > Decimal("1e-5")
-    assert abs(res.series.value.value - (1 - S13_CHAIN["K"])) < Decimal("1e-19")
+    assert not res.rigorous
+    assert res.method == "exclusion"
+    assert res.value.err > Decimal("1e-5")
+    assert abs(res.value.value - (1 - S13_CHAIN["K"])) < Decimal("1e-19")
 
 
 def test_run_rejects_bad_depth():
@@ -190,23 +187,24 @@ def test_state_invariant_matches_oracle(n):
         assert diff <= st.V.err + st.s.err + tail.err, (n, st.k)
 
 
-def test_trace_exports():
-    st = advance(init_state(3), 4)
-    text = trace_to_csv(st)
-    rows = list(csv.DictReader(io.StringIO(text)))
-    assert [r["prime"] for r in rows] == ["3", "5", "7", "11"]
-    assert [r["letter_index"] for r in rows] == ["1", "2", "3", "4"]
-    assert Decimal(rows[-1]["V"]) == st.V.value
-    assert Decimal(rows[0]["err"]) >= 0
-    obj = json.loads(trace_to_json(st))
-    assert obj["n"] == 3
-    assert len(obj["steps"]) == 4
-    assert obj["steps"][3]["s"] == str(st.s.value)
+@pytest.mark.parametrize("digits", [15, 50])
+@pytest.mark.parametrize("k", [0, 2, 6])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_sieved_tail_oracle_contains_exact_sum(n, k, digits):
+    limit = 2001
+    small = odd_primes(k)
+    exact = sum(Fraction(chi4(m), m ** n) for m in range(3, limit + 1, 2)
+                if all(m % p for p in small))
+    with precision(digits):
+        tail = sieved_tail_oracle(n, k, limit)
+    # Without the tail beyond the limit, the bound still covers the finite sum.
+    arithmetic = tail.err - _odd_power_tail(limit + 2, n)
+    assert abs(Fraction(tail.value) - exact) <= Fraction(arithmetic)
 
 
 def test_runs_are_deterministic_and_independent():
     with precision(40):
-        first = run(3, 6).series.value.value
+        first = run(3, 6).value.value
     with precision(40):
-        second = run(3, 6).series.value.value
+        second = run(3, 6).value.value
     assert first == second

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from charprime.arith import HighPrecReal, constant, ln_fraction
+from charprime.exclusion import composite_tail_bound, run
 from charprime.logmethod import (analytic_tail_bound, assemble_O,
                                  beta_complement_bound, closed_form_scan,
                                  master_identity_residual, product_pi2_8,
@@ -106,6 +107,25 @@ def test_w_value_domain_and_depth_errors():
         w_value(4, 7)
     with pytest.raises(ValueError):
         w_value(3, 25, max_primes=50)
+
+
+@pytest.mark.parametrize("digits", [5, 11, 14, 20, 28])
+@pytest.mark.parametrize("n", [3, 5, 7, 13])
+def test_w_value_uses_least_depth(n, digits):
+    tol = Decimal(1).scaleb(-digits)
+    if n >= 9 and beta_complement_bound(n) < tol / 10:
+        assert w_value(n, digits).method == "beta-complement"
+        return
+    # Reference: the least clearing depth by a linear scan.
+    max_primes = 10_000
+    depth = next((k for k in range(1, max_primes + 1)
+                  if composite_tail_bound(n, k) < tol / 4), None)
+    if depth is None:
+        with pytest.raises(ValueError, match=f"within {max_primes} primes"):
+            w_value(n, digits)
+        return
+    assert w_value(n, digits).value == run(n, depth, digits + 8).value
+    assert depth == 1 or not composite_tail_bound(n, depth - 1) < tol / 4
 
 
 def test_beta_complement_bound_covers_gap():

@@ -6,8 +6,8 @@ import pytest
 from charprime.beta import beta_closed
 from charprime.report import (ERRATA, MATCH_UNITS, TABLE_IDS, build_s12,
                               build_s13, build_s21, build_s23_26, build_s28,
-                              build_table, from_json, to_csv,
-                              to_json, to_text)
+                              build_table, to_csv, to_json,
+                              to_json_obj, to_text)
 
 # verdict expectations for every row that is not a plain match
 EXPECTED_NON_MATCH = {
@@ -132,10 +132,7 @@ def test_errata_manifest_is_consistent(tables):
 
 def test_json_roundtrip_identity(tables):
     for table in tables.values():
-        text = to_json(table)
-        again = from_json(text)
-        assert again == table
-        assert to_json(again) == text
+        assert json.loads(to_json(table)) == to_json_obj(table)
 
 
 def test_json_schema_fields(tables):
