@@ -67,8 +67,8 @@ def precision(digits: int):
         _working_digits.reset(token)
 
 
-def _value_ctx(digits: int | None = None) -> Context:
-    return Context(prec=digits or _working_digits.get(), rounding=ROUND_HALF_EVEN)
+def _value_ctx() -> Context:
+    return Context(prec=_working_digits.get(), rounding=ROUND_HALF_EVEN)
 
 
 def _ulp(value: Decimal, prec: int) -> Decimal:
@@ -350,18 +350,16 @@ def ln_fraction(num: int, den: int) -> HighPrecReal:
 DECIMAL_STYLES = ("period", "euler-comma")
 
 
-def format_decimal(x: HighPrecReal, d: int, style: str = "period",
-                   allow_uncertified: bool = False) -> str:
+def format_decimal(x: HighPrecReal, d: int, style: str = "period") -> str:
     """Fixed-point decimal string with d places, halves rounded away from zero.
 
-    Refuses when the error bound does not certify the last place, unless
-    ``allow_uncertified`` is set.
+    Refuses when the error bound does not certify the last place.
     """
     if style not in DECIMAL_STYLES:
         raise ValueError(f"unknown decimal style {style!r}")
     if d < 0:
         raise ValueError("d must be >= 0")
-    if not allow_uncertified and not x.certifies(d):
+    if not x.certifies(d):
         raise UncertifiedError(
             f"error bound {x.err} does not certify {d} decimal places")
     q = x.round_decimal(d)

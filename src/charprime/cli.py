@@ -47,9 +47,8 @@ def _default_working_digits() -> int:
 class RunConfig:
     """Resolved options shared by all subcommands.
 
-    ``working_digits`` must exceed ``digits`` by at least 10 wherever
-    certified output at ``digits`` places is produced (compute, reproduce,
-    scan); verify only needs a sane working precision.
+    ``working_digits`` and ``max_k`` are floors: the library raises the
+    working precision and the assembly depth as far as ``digits`` needs.
     """
 
     digits: int = 7
@@ -59,17 +58,13 @@ class RunConfig:
     format: str = "text"
     decimal_style: str = "period"
 
-    def validate(self, need_guard: bool = True) -> None:
+    def validate(self) -> None:
         if self.digits < 1:
             raise ValueError("--digits must be >= 1")
         if self.primes < 1 or self.max_k < 1:
             raise ValueError("depths must be >= 1")
         if self.working_digits < 1:
             raise ValueError("--working-digits must be >= 1")
-        if need_guard and self.working_digits < self.digits + 10:
-            raise ValueError(
-                f"working digits {self.working_digits} leave no guard margin; "
-                f"need at least digits + 10 = {self.digits + 10}")
         if self.format not in FORMATS:
             raise ValueError(f"--format must be one of {FORMATS}")
         if self.decimal_style not in STYLES:
@@ -79,14 +74,16 @@ class RunConfig:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--digits", type=int, default=7, help="certified output digits (default 7)")
     p.add_argument("--working-digits", type=int, default=None,
-                   help=f"internal precision (default 50, or {ENV_WORKING_DIGITS})")
+                   help=f"least internal precision (default 50, or {ENV_WORKING_DIGITS}); "
+                        "raised as --digits needs")
     p.add_argument("--primes", type=int, default=10_000,
                    help="cap on exclusion depth in primes (default 10000); read by "
                         "compute W n for n >= 3, reproduce (table s28) and verify "
                         "(the oracle steps); compute W 1, compute beta and scan "
                         "ignore it")
     p.add_argument("--max-k", type=int, default=10,
-                   help="assembly depth: terms W(2k+1)/(2k+1) (default 10)")
+                   help="least assembly depth in terms W(2k+1)/(2k+1) (default 10); "
+                        "raised as --digits needs")
     p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--decimal-style", choices=STYLES, default="period")
 
@@ -100,12 +97,10 @@ def _config(args) -> RunConfig:
 
 
 def _certified_digits(value) -> int:
+    # certifies(d) holds exactly when 2 * err < 10**-d.
     if value.err == 0:
         return 999
-    d = 0
-    while d < 200 and value.certifies(d + 1):
-        d += 1
-    return d
+    return max(0, -(2 * value.err).adjusted() - 1)
 
 
 def _print_series(sv: SeriesValue, cfg: RunConfig) -> None:
@@ -157,7 +152,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
-    cfg.validate(need_guard=False)
+    cfg.validate()
     results = run_checks(cfg)
     ok = all(r.passed for r in results)
     if cfg.format == "json":

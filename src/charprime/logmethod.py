@@ -20,7 +20,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from math import gcd
 
-from .arith import (HighPrecReal, _ERR_UP, _ulp, _up, constant, ln_fraction,
+from .arith import (HighPrecReal, _ERR_UP, _PAD, _ulp, _up, constant, ln_fraction,
                     precision, working_digits)
 from .beta import beta_closed
 from .exclusion import SeriesValue, composite_tail_bound, run
@@ -112,26 +112,32 @@ def w_value(n: int, digits: int, max_primes: int = 10_000) -> SeriesValue:
 
     Runs the exclusion recurrence with just enough primes for the surviving
     composite tail to clear the requested tolerance; once the complement of
-    beta(n) alone is within tolerance (large n), uses it directly.
+    beta(n) alone is within tolerance (large n), uses it directly.  Works at
+    ``digits`` plus guard digits, or at the working precision if that is
+    higher.  A request that ``max_primes`` primes cannot certify raises,
+    naming the digits they do certify.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"w_value needs odd n >= 3, got {n}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    tol = _ONE.scaleb(-digits)
-    if n >= 9 and beta_complement_bound(n) < tol / 10:
-        bv = beta_closed(n, digits + 8)
-        w = 1 - bv.value
-        value = HighPrecReal(w.value, _up(w.err, beta_complement_bound(n)))
-        return SeriesValue("W", n, value, method="beta-complement", rigorous=True)
-    # The composite tail bound never grows with k, so the least clearing
-    # depth is found by bisection.
-    depth = bisect_left(range(1, max_primes + 1), True,
-                        key=lambda k: composite_tail_bound(n, k) < tol / 4) + 1
-    if depth > max_primes:
-        raise ValueError(
-            f"cannot certify W({n}) to {digits} digits within {max_primes} primes")
-    return run(n, depth, digits + 8)
+    with precision(max(digits + _PAD, working_digits())):
+        tol = _ONE.scaleb(-digits)
+        if n >= 9 and beta_complement_bound(n) < tol / 10:
+            bv = beta_closed(n, digits + 8)
+            w = 1 - bv.value
+            value = HighPrecReal(w.value, _up(w.err, beta_complement_bound(n)))
+            return SeriesValue("W", n, value, method="beta-complement", rigorous=True)
+        # The composite tail bound never grows with k, so the least clearing
+        # depth is found by bisection.
+        depth = bisect_left(range(1, max_primes + 1), True,
+                            key=lambda k: composite_tail_bound(n, k) < tol / 4) + 1
+        if depth > max_primes:
+            reachable = -(4 * composite_tail_bound(n, max_primes)).adjusted() - 1
+            raise ValueError(
+                f"cannot certify W({n}) to {digits} digits within {max_primes} primes; "
+                f"they certify at most {reachable} digits")
+        return run(n, depth, digits + 8)
 
 
 # ---------------------------------------------------------------------------
@@ -164,25 +170,20 @@ def analytic_tail_bound(max_k: int) -> Decimal:
 
 
 def assemble_O(max_k: int, digits: int) -> AssemblyResult:
-    """W(1) = (1/2) ln 2 - sum_{k=1..max_k} W(2k+1)/(2k+1), with trace.
+    """W(1) = (1/2) ln 2 - sum_{k=1..K} W(2k+1)/(2k+1), certified to ``digits``.
 
-    Raises when max_k leaves an analytic tail too large for the requested
-    digits, naming roughly what is achievable.
+    K is ``max_k``, raised to the least depth whose analytic tail clears the
+    requested digits; the sum runs at ``digits`` plus guard digits, or at
+    the working precision if that is higher.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    tail = analytic_tail_bound(max_k)
-    half = Decimal("0.5")
-    if tail >= half.scaleb(-digits):
-        achievable = 0
-        while tail < half.scaleb(-(achievable + 1)):
-            achievable += 1
-        raise ValueError(
-            f"max_k={max_k} certifies only {achievable} digits, "
-            f"not the {digits} requested; increase max_k")
-    with precision(max(digits + 10, working_digits())):
+    half_unit = Decimal("0.5").scaleb(-digits)
+    with precision(max(digits + _PAD, working_digits())):
+        while analytic_tail_bound(max_k) >= half_unit:
+            max_k += 1
         total = constant("ln2", digits + 8) / 2
         steps = []
         for k in range(1, max_k + 1):
@@ -190,27 +191,23 @@ def assemble_O(max_k: int, digits: int) -> AssemblyResult:
             w = w_value(n, digits + 4)
             total = total - w.value / n
             steps.append(AssemblyStep(k, n, w, total))
-    value = HighPrecReal(total.value, _up(total.err, tail))
+    value = HighPrecReal(total.value, _up(total.err, analytic_tail_bound(max_k)))
     series = SeriesValue("W", 1, value, method="log-assembly", rigorous=True)
     return AssemblyResult(series, steps)
 
 
-def master_identity_residual(max_k: int, digits: int = 11,
-                             reference_depth: int | None = None) -> HighPrecReal:
+def master_identity_residual(max_k: int) -> HighPrecReal:
     """(1/2) ln 2 minus the partial sum of W(2k+1)/(2k+1) through max_k.
 
-    The k = 0 term W(1) is taken from an assembly at higher depth, so the
-    residual isolates the genuine tail beyond max_k; the partial sum is that
-    assembly's own running value after max_k terms.
+    The k = 0 term W(1) is taken from an 11-digit assembly ten terms deeper,
+    so the residual isolates the genuine tail beyond max_k; the partial sum
+    is that assembly's own running value after max_k terms.
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
-    depth = max_k + 10 if reference_depth is None else reference_depth
-    if depth <= max_k:
-        raise ValueError("reference_depth must exceed max_k")
-    assembly = assemble_O(depth, digits)
+    assembly = assemble_O(max_k + 10, 11)
     if max_k == 0:
-        running = constant("ln2", digits + 8) / 2
+        running = constant("ln2", 11 + 8) / 2
     else:
         running = assembly.steps[max_k - 1].running
     return running - assembly.series.value
@@ -233,7 +230,9 @@ def closed_form_scan(value: HighPrecReal, max_den: int, tol: Decimal) -> list[Cl
     """All reduced N = num/den, den <= max_den, with |value - (ln pi - ln N)| < tol.
 
     Sorted by |residual|.  The scanned value must be certified well below
-    the tolerance, otherwise candidates would be meaningless.
+    the tolerance, otherwise candidates would be meaningless.  Works at
+    guard digits below the tolerance, or at the working precision if that
+    is finer.
     """
     tol = Decimal(tol)
     if tol <= 0:
@@ -242,31 +241,32 @@ def closed_form_scan(value: HighPrecReal, max_den: int, tol: Decimal) -> list[Cl
         raise ValueError("value is not certified finely enough for this tolerance")
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    digits = working_digits()
-    lnpi = constant("lnpi", digits + 5)
-    # Candidates must sit in a narrow window around exp(ln pi - value):
-    # |ln N - (ln pi - value)| < tol bounds |N - center| by roughly
-    # center * (e^tol - 1); the factor below over-covers up to tol = 2.
-    # The centre is exp of the argument's midpoint, correctly rounded; the
-    # argument's error moves it by at most 2 * center * err, and the
-    # rounding by less than one unit in the last place.
-    arg = lnpi - value
-    center = Context(prec=digits).exp(arg.value)
-    factor = Decimal(2) if tol <= Decimal("0.5") else Decimal(8)
-    half_width = center * tol * factor + 2 * center * arg.err + _ulp(center, digits)
-    out = []
-    for den in range(1, max_den + 1):
-        approx = center * den
-        window = half_width * den
-        lo = int((approx - window).to_integral_value(rounding="ROUND_FLOOR"))
-        hi = int((approx + window).to_integral_value(rounding="ROUND_CEILING"))
-        for num in range(max(lo, 1), hi + 1):
-            if abs(Decimal(num) - approx) > window:
-                continue
-            if gcd(num, den) != 1:
-                continue
-            residual = value - (lnpi - ln_fraction(num, den))
-            if residual.value.copy_abs() < tol:
-                out.append(ClosedFormCandidate(num, den, residual))
+    digits = max(working_digits(), _PAD - tol.adjusted())
+    with precision(digits):
+        lnpi = constant("lnpi", digits + 5)
+        # Candidates must sit in a narrow window around exp(ln pi - value):
+        # |ln N - (ln pi - value)| < tol bounds |N - center| by roughly
+        # center * (e^tol - 1); the factor below over-covers up to tol = 2.
+        # The centre is exp of the argument's midpoint, correctly rounded; the
+        # argument's error moves it by at most 2 * center * err, and the
+        # rounding by less than one unit in the last place.
+        arg = lnpi - value
+        center = Context(prec=digits).exp(arg.value)
+        factor = Decimal(2) if tol <= Decimal("0.5") else Decimal(8)
+        half_width = center * tol * factor + 2 * center * arg.err + _ulp(center, digits)
+        out = []
+        for den in range(1, max_den + 1):
+            approx = center * den
+            window = half_width * den
+            lo = int((approx - window).to_integral_value(rounding="ROUND_FLOOR"))
+            hi = int((approx + window).to_integral_value(rounding="ROUND_CEILING"))
+            for num in range(max(lo, 1), hi + 1):
+                if abs(Decimal(num) - approx) > window:
+                    continue
+                if gcd(num, den) != 1:
+                    continue
+                residual = value - (lnpi - ln_fraction(num, den))
+                if residual.value.copy_abs() < tol:
+                    out.append(ClosedFormCandidate(num, den, residual))
     out.sort(key=lambda c: (c.residual.value.copy_abs(), c.denominator, c.numerator))
     return out

@@ -41,6 +41,9 @@ W_TRUE = {
 
 O_TRUE = Decimal("0.33498132530004580803")  # certified to ~5e-14
 
+# W(1) to 40 places from mpmath log-L references (the benchmark's reference).
+W1_REFERENCE = Decimal("0.3349813252999931810633171214875435737800")
+
 # First-power exclusion chain from the exact starting value pi/4.
 S13_CHAIN = {
     "B": Decimal("0.71386421786326441282"),

@@ -3,12 +3,15 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import charprime
 from charprime.cli import main
+
+from goldens import W1_REFERENCE
 
 CLI = [sys.executable, "-m", "charprime.cli"]
 
@@ -19,6 +22,10 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+
+
+def _certified_digits(out):
+    return int(re.search(r"certified_digits: (\d+)", out).group(1))
 
 
 def test_compute_w1(capsys):
@@ -53,7 +60,9 @@ def test_compute_uncertifiable_exits_nonzero(capsys):
     code = main(["compute", "W", "3", "--digits", "25", "--primes", "50",
                  "--working-digits", "60"])
     assert code == 2
-    assert "cannot certify" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: cannot certify W(3) to 25 digits within 50 primes; "
+        "they certify at most 9 digits\n")
 
 
 def test_compute_rejects_even_exponent(capsys):
@@ -62,8 +71,43 @@ def test_compute_rejects_even_exponent(capsys):
 
 
 def test_guard_digit_validation(capsys):
+    # 45 digits need 55 working digits; the library raises the default 50
+    # itself, and the refusal is the depth's.
     assert main(["compute", "W", "3", "--digits", "45"]) == 2
-    assert "guard" in capsys.readouterr().err
+    assert ("cannot certify W(3) to 45 digits within 10000 primes; "
+            "they certify at most 20 digits") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("compute", "W", "13", "--digits", "60"),
+    ("compute", "beta", "15", "--digits", "45"),
+    ("compute", "W", "1", "--digits", "16"),
+    ("scan", "--max-den", "50", "--tol", "1e-12"),
+])
+def test_certifies_at_default_settings(capsys, args):
+    # Each exited 2 while --working-digits and --max-k had to be raised by hand.
+    assert main(list(args)) == 0
+    out = capsys.readouterr().out
+    if args[0] == "compute":
+        assert _certified_digits(out) >= int(args[-1])
+
+
+def test_compute_w1_at_default_depth(capsys):
+    assert main(["compute", "W", "1", "--digits", "15"]) == 0
+    out = capsys.readouterr().out
+    shown = Decimal(out.split("W(1) = ")[1].split()[0])
+    assert abs(shown - W1_REFERENCE) < Decimal("1e-15")
+    assert _certified_digits(out) >= 15
+    # Past 16 places the refusal is W(3)'s, and names its reach.
+    assert main(["compute", "W", "1", "--digits", "17"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot certify W(3) to 21 digits within 10000 primes; "
+        "they certify at most 20 digits\n")
+
+
+def test_certified_digits_past_two_hundred(capsys):
+    assert main(["compute", "beta", "15", "--digits", "250"]) == 0
+    assert _certified_digits(capsys.readouterr().out) >= 250
 
 
 def test_reproduce_single_table_exit_zero():
@@ -93,12 +137,14 @@ def test_reproduce_at_high_working_digits():
 
 
 def test_env_var_sets_working_digits():
-    proc = run_cli("compute", "beta", "3", "--digits", "12",
-                   env_extra={"CHARPRIME_WORKING_DIGITS": "25"})
-    assert proc.returncode == 0
-    proc = run_cli("compute", "beta", "3", "--digits", "12",
-                   env_extra={"CHARPRIME_WORKING_DIGITS": "20"})
-    assert proc.returncode == 2      # 20 leaves no guard margin for 12 digits
+    at_25 = run_cli("compute", "beta", "3", "--digits", "12",
+                    env_extra={"CHARPRIME_WORKING_DIGITS": "25"})
+    assert at_25.returncode == 0
+    # 20 is below digits + 10; the library raises it, with the same output.
+    at_20 = run_cli("compute", "beta", "3", "--digits", "12",
+                    env_extra={"CHARPRIME_WORKING_DIGITS": "20"})
+    assert at_20.returncode == 0
+    assert at_20.stdout == at_25.stdout
     proc = run_cli("compute", "beta", "3", "--digits", "12",
                    env_extra={"CHARPRIME_WORKING_DIGITS": "twenty"})
     assert proc.returncode == 2
@@ -106,9 +152,11 @@ def test_env_var_sets_working_digits():
 
 
 def test_cli_flag_overrides_env():
-    proc = run_cli("compute", "beta", "3", "--digits", "12", "--working-digits", "30",
+    proc = run_cli("reproduce", "--table", "s12", "--format", "json",
+                   "--working-digits", "30",
                    env_extra={"CHARPRIME_WORKING_DIGITS": "20"})
     assert proc.returncode == 0
+    assert '"working_digits": 30' in proc.stdout
 
 
 def test_verify_passes(capsys):

@@ -1,9 +1,11 @@
 from decimal import Decimal
 from fractions import Fraction
+from itertools import count
 
+import mpmath as mp
 import pytest
 
-from charprime.arith import HighPrecReal, constant, ln_fraction
+from charprime.arith import HighPrecReal, constant, ln_fraction, precision
 from charprime.exclusion import composite_tail_bound, run
 from charprime.logmethod import (analytic_tail_bound, assemble_O,
                                  beta_complement_bound, closed_form_scan,
@@ -11,7 +13,7 @@ from charprime.logmethod import (analytic_tail_bound, assemble_O,
                                  product_pi4, product_two, w_value)
 
 from goldens import (HALF_LN2, LNPI, O_TRUE, PI, RESIDUALS, RUN_CONVERGED,
-                     W_TRUE)
+                     W1_REFERENCE, W_TRUE)
 
 
 # -- products ---------------------------------------------------------------
@@ -128,6 +130,37 @@ def test_w_value_uses_least_depth(n, digits):
     assert depth == 1 or not composite_tail_bound(n, depth - 1) < tol / 4
 
 
+@pytest.mark.parametrize("n, max_primes, reachable",
+                         [(3, 10_000, 20), (3, 50, 9), (5, 10_000, 40)])
+def test_w_value_refusal_names_reachable_digits(n, max_primes, reachable):
+    assert w_value(n, reachable, max_primes).value.certifies(reachable)
+    with pytest.raises(ValueError, match=f"certify at most {reachable} digits"):
+        w_value(n, reachable + 1, max_primes)
+
+
+def _odd_primes_to(limit):
+    sieve = bytearray([1]) * (limit + 1)
+    for i in range(3, int(limit ** 0.5) + 1, 2):
+        if sieve[i]:
+            sieve[i * i::2 * i] = bytes(len(range(i * i, limit + 1, 2 * i)))
+    return [m for m in range(3, limit + 1, 2) if sieve[m]]
+
+
+def test_w13_certifies_sixty_places_at_default_precision():
+    # Oracle: the direct sum over primes p <= P at 75 digits; the omitted
+    # primes lie among the odd m > P, whose sum of m^-13 is below
+    # P^-13 + P^-12/24.
+    limit = 150_000
+    with mp.workdps(75):
+        oracle = mp.fsum((-1 if p % 4 == 1 else 1) / mp.mpf(p) ** 13
+                         for p in _odd_primes_to(limit))
+        oracle = Decimal(mp.nstr(oracle, 75))
+    tail = Decimal(limit) ** -13 + Decimal(limit) ** -12 / 24 + Decimal("1e-74")
+    w = w_value(13, 60).value
+    assert w.certifies(60)
+    assert abs(w.value - oracle) <= w.err + tail
+
+
 def test_beta_complement_bound_covers_gap():
     for n in (9, 11, 13):
         comp = 1 - Decimal(str(__import__("charprime").beta_closed(n, 30).value.value))
@@ -161,10 +194,22 @@ def test_assemble_stability_under_deeper_runs():
 
 
 def test_assemble_rejects_insufficient_depth():
-    with pytest.raises(ValueError, match="certifies only"):
-        assemble_O(1, 9)
+    # Too shallow a max_k is deepened; below one term is refused.
+    assert assemble_O(1, 9).series.value.certifies(9)
     with pytest.raises(ValueError):
         assemble_O(0, 7)
+
+
+@pytest.mark.parametrize("max_k", [1, 5, 10, 12])
+@pytest.mark.parametrize("digits", range(1, 17))
+def test_assemble_depth_is_max_k_or_least_clearing(max_k, digits):
+    least = next(k for k in count(1)
+                 if analytic_tail_bound(k) < Decimal("0.5").scaleb(-digits))
+    res = assemble_O(max_k, digits)
+    value = res.series.value
+    assert value.certifies(digits)
+    assert abs(value.value - W1_REFERENCE) <= value.err
+    assert len(res.steps) == max(max_k, least)
 
 
 def test_analytic_tail_bound_dominates_true_tail():
@@ -187,13 +232,6 @@ def test_master_identity_residual(max_k):
 def test_master_identity_residual_shrinks():
     values = [master_identity_residual(k).value for k in (0, 1, 2, 3)]
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
-
-
-def test_master_identity_residual_needs_deeper_reference():
-    with pytest.raises(ValueError, match="reference_depth"):
-        master_identity_residual(3, reference_depth=3)
-    with pytest.raises(ValueError, match="reference_depth"):
-        master_identity_residual(0, reference_depth=0)
 
 
 # -- closed-form scan ----------------------------------------------------------
@@ -240,3 +278,12 @@ def test_lnpi_residual_identity():
     hits = closed_form_scan(value, 10, Decimal("1e-9"))
     assert (hits[0].numerator, hits[0].denominator) == (7, 3)
     assert abs(value.value - ln_fraction(3, 7).value - LNPI) < Decimal("1e-30")
+
+
+def test_scan_tolerance_finer_than_default_precision():
+    # The residual of an exact hit is below 1e-55 only if the scan works
+    # finer than the default 50 digits.
+    with precision(80):
+        value = constant("lnpi", 80) - ln_fraction(7, 3)
+    hits = closed_form_scan(value, 10, Decimal("1e-55"))
+    assert [(c.numerator, c.denominator) for c in hits] == [(7, 3)]
