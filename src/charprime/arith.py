@@ -15,7 +15,9 @@ the working precision and closed with a geometric tail bound.  It gives
 pi (Machin's formula), ln 2, ln pi and natural logs of rationals.
 
 Values are immutable; operations are pure functions reading the working
-precision from a context variable, so concurrent use is safe.
+precision from a context variable, so concurrent use is safe.  Each
+constant is summed once per working precision and remembered for the life
+of the process, so a repeated request returns the identical value.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from decimal import Context, Decimal, Inexact, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, ROUND_HALF_UP
 from fractions import Fraction
+from functools import cache
 
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 1000
@@ -247,16 +250,17 @@ def constant(name: str, digits: int) -> HighPrecReal:
         raise ValueError("digits must be >= 1")
     if digits > MAX_DIGITS - _PAD:
         raise ValueError(f"constant digits capped at {MAX_DIGITS - _PAD}")
-    with precision(digits + _PAD):
-        if name == "pi":
-            x = _pi()
-        elif name == "ln2":
-            x = _ln2()
-        else:
-            x = _lnpi()
+    x = _series_constant(name, digits + _PAD)
     if not x.err < _ONE.scaleb(-digits):
         raise UncertifiedError(f"could not certify {name} to {digits} digits")
     return x
+
+
+@cache
+def _series_constant(name: str, prec: int) -> HighPrecReal:
+    # One entry per (name, precision): at most 3 * MAX_DIGITS of them.
+    with precision(prec):
+        return {"pi": _pi, "ln2": _ln2, "lnpi": _lnpi}[name]()
 
 
 def _pi() -> HighPrecReal:
@@ -273,8 +277,8 @@ def _ln2() -> HighPrecReal:
 def _lnpi() -> HighPrecReal:
     # ln pi = ln 2 + ln x with x = pi/2 in (1, 2), and
     # ln x = 2 * ((1/2) ln((a+1)/(a-1))) for a = (x+1)/(x-1) = (pi+2)/(pi-2).
-    pi = _pi()
-    return _ln2() + 2 * half_log_ratio((pi + 2) / (pi - 2))
+    pi = _series_constant("pi", working_digits())
+    return _series_constant("ln2", working_digits()) + 2 * half_log_ratio((pi + 2) / (pi - 2))
 
 
 def _odd_power_series(a: HighPrecReal, alternating: bool = False) -> HighPrecReal:
@@ -334,7 +338,7 @@ def ln_fraction(num: int, den: int) -> HighPrecReal:
     while n < d:
         n <<= 1
         shift -= 1
-    ln2 = _ln2()
+    ln2 = _series_constant("ln2", working_digits())
     if n == d:
         body = HighPrecReal(_ZERO)
     else:

@@ -133,11 +133,17 @@ def w_value(n: int, digits: int, max_primes: int = 10_000) -> SeriesValue:
         depth = bisect_left(range(1, max_primes + 1), True,
                             key=lambda k: composite_tail_bound(n, k) < tol / 4) + 1
         if depth > max_primes:
-            reachable = -(4 * composite_tail_bound(n, max_primes)).adjusted() - 1
             raise ValueError(
                 f"cannot certify W({n}) to {digits} digits within {max_primes} primes; "
-                f"they certify at most {reachable} digits")
+                f"they certify at most {_w_reach(n, max_primes)} digits")
         return run(n, depth, digits + 8)
+
+
+def _w_reach(n: int, max_primes: int = 10_000) -> int:
+    # The most digits w_value(n, ., max_primes) certifies by exclusion; the
+    # bound is taken at guard precision so a low ambient one cannot shift it.
+    with precision(_PAD):
+        return -(4 * composite_tail_bound(n, max_primes)).adjusted() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +186,11 @@ def assemble_O(max_k: int, digits: int) -> AssemblyResult:
         raise ValueError("max_k must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    # Each W(2k+1) is asked for 4 more digits, and W(3) reaches least far.
+    reach = _w_reach(3) - 4
+    if digits > reach:
+        raise ValueError(f"cannot certify W(1) to {digits} digits; "
+                         f"the log assembly certifies at most {reach} digits")
     half_unit = Decimal("0.5").scaleb(-digits)
     with precision(max(digits + _PAD, working_digits())):
         while analytic_tail_bound(max_k) >= half_unit:

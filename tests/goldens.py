@@ -39,8 +39,6 @@ W_TRUE = {
     13: Decimal("6.264166210637657860576E-7"),
 }
 
-O_TRUE = Decimal("0.33498132530004580803")  # certified to ~5e-14
-
 # W(1) to 40 places from mpmath log-L references (the benchmark's reference).
 W1_REFERENCE = Decimal("0.3349813252999931810633171214875435737800")
 

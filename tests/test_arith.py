@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charprime.arith import (HighPrecReal, UncertifiedError, _odd_power_series,
-                             constant, format_decimal, half_log_ratio,
-                             ln_fraction, parse_decimal, precision)
+from charprime import arith
+from charprime.arith import (CONSTANT_NAMES, HighPrecReal, UncertifiedError, _PAD,
+                             _odd_power_series, _series_constant, constant,
+                             format_decimal, half_log_ratio, ln_fraction,
+                             parse_decimal, precision)
 from charprime.checks import _eval_program
 
 from goldens import HALF_LN_3_2, LN2, LNPI, PI
@@ -53,13 +55,86 @@ def test_constant_examples():
     assert str(lnpi.round_decimal(19)) == "1.1447298858494001741"
 
 
-def test_constant_errors():
-    with pytest.raises(ValueError):
-        constant("e", 10)
-    with pytest.raises(ValueError):
-        constant("pi", 0)
-    with pytest.raises(ValueError):
-        constant("pi", 100_000)
+def test_constant_errors(monkeypatch):
+    # The checks sit outside the memo: a refusal raises cold and warm alike.
+    _series_constant.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            constant("e", 10)
+        with pytest.raises(ValueError):
+            constant("pi", 0)
+        with pytest.raises(ValueError):
+            constant("pi", 100_000)
+        for name in CONSTANT_NAMES:
+            constant(name, 10)
+    # Without guard digits pi's last-place rounding exceeds 1e-30.
+    monkeypatch.setattr(arith, "_PAD", 0)
+    for _ in range(2):
+        with pytest.raises(UncertifiedError):
+            constant("pi", 30)
+
+
+# -- the constant memo -------------------------------------------------------
+
+def _summed(name):
+    # Each constant's series, summed afresh at the working precision.
+    pi = (16 * _odd_power_series(HighPrecReal.exact(5), alternating=True)
+          - 4 * _odd_power_series(HighPrecReal.exact(239), alternating=True))
+    ln2 = 2 * half_log_ratio(3)
+    return {"pi": pi, "ln2": ln2,
+            "lnpi": ln2 + 2 * half_log_ratio((pi + 2) / (pi - 2))}[name]
+
+
+@pytest.mark.parametrize("digits", [10, 50, 200])
+@pytest.mark.parametrize("name", CONSTANT_NAMES)
+def test_memoised_constant_equals_a_fresh_sum(name, digits):
+    _series_constant.cache_clear()
+    cold = constant(name, digits)
+    warm = constant(name, digits)
+    with precision(digits + _PAD):
+        fresh = _summed(name)
+    assert (cold.value, cold.err) == (warm.value, warm.err) == (fresh.value, fresh.err)
+
+
+def test_memoised_constant_ignores_ambient_precision():
+    _series_constant.cache_clear()
+    with precision(20):
+        low = constant("pi", 60)
+    with precision(200):
+        high = constant("pi", 60)
+    assert (low.value, low.err) == (high.value, high.err)
+    assert low.err < Decimal("1e-60")
+
+
+def test_memoised_constant_is_summed_once(monkeypatch):
+    _series_constant.cache_clear()
+    calls = []
+    series = arith._odd_power_series
+    monkeypatch.setattr(arith, "_odd_power_series",
+                        lambda *a, **kw: calls.append(a) or series(*a, **kw))
+    constant("lnpi", 40)
+    # Two arctangents for pi, one series for ln 2 and one for ln(pi/2).
+    assert len(calls) == 4
+    # ln pi at 50 working digits left pi and ln 2 at 50 in the memo too.
+    for name in CONSTANT_NAMES:
+        constant(name, 40)
+    assert len(calls) == 4
+    constant("pi", 41)
+    assert len(calls) == 6
+
+
+def test_ln_fraction_sums_ln2_once_per_precision(monkeypatch):
+    _series_constant.cache_clear()
+    calls = []
+    ln2 = arith._ln2
+    monkeypatch.setattr(arith, "_ln2", lambda: calls.append(1) or ln2())
+    with precision(40):
+        for num, den in [(7, 3), (1, 9), (22, 7), (5, 1), (3, 1)]:
+            ln_fraction(num, den)
+    assert len(calls) == 1
+    with precision(41):
+        ln_fraction(7, 3)
+    assert len(calls) == 2
 
 
 # -- the odd-power series ----------------------------------------------------

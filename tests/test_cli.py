@@ -98,11 +98,29 @@ def test_compute_w1_at_default_depth(capsys):
     shown = Decimal(out.split("W(1) = ")[1].split()[0])
     assert abs(shown - W1_REFERENCE) < Decimal("1e-15")
     assert _certified_digits(out) >= 15
-    # Past 16 places the refusal is W(3)'s, and names its reach.
-    assert main(["compute", "W", "1", "--digits", "17"]) == 2
-    assert capsys.readouterr().err == (
-        "error: cannot certify W(3) to 21 digits within 10000 primes; "
-        "they certify at most 20 digits\n")
+    # Past 16 places W(1) is refused in its own terms, before any work.
+    for digits in ("17", "990"):
+        assert main(["compute", "W", "1", "--digits", digits]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot certify W(1) to {digits} digits; "
+            "the log assembly certifies at most 16 digits\n")
+
+
+def test_reproduce_is_identical_within_one_process(capsys, monkeypatch):
+    # The constant memo lives as long as the process: a cold run, and runs
+    # after one at another working precision, must print the same bytes.
+    monkeypatch.delenv("CHARPRIME_WORKING_DIGITS", raising=False)
+    golden = (Path(__file__).resolve().parent.parent / "bench" / "golden"
+              / "tables.json").read_text()
+    argv = ["reproduce", "--table", "all", "--format", "json"]
+    charprime.arith._series_constant.cache_clear()
+    outs = []
+    for extra in ([], ["--working-digits", "60"], [], []):
+        assert main(argv + extra) == 0
+        out = capsys.readouterr().out
+        if not extra:
+            outs.append(out)
+    assert outs == [golden] * 3
 
 
 def test_certified_digits_past_two_hundred(capsys):
