@@ -1,12 +1,13 @@
-"""Secant numbers and the alternating odd-power series beta(n).
+"""Secant and tangent numbers, and the alternating odd-power series beta(n).
 
 beta(n) = 1 - 1/3^n + 1/5^n - 7^-n + ... for odd n.  At odd arguments it
 has the exact closed form
 
-    beta(2m + 1) = |E_2m| * pi**(2m+1) / (4**(m+1) * (2m)!)
+    beta(2m + 1) = S_m * pi**(2m+1) / (4**(m+1) * (2m)!)
 
-where E_2m are the secant numbers, computed here as exact integers from
-the recurrence sum_k C(2m, 2k) E_2k = 0 with E_0 = 1.
+where S_m = |E_2m| are the secant numbers.  They and the tangent numbers
+T_m come from one cached table of exact integers, built by the integer
+triangles of Knuth & Buckholtz (Math. Comp. 21, 1967).
 """
 
 from __future__ import annotations
@@ -16,8 +17,13 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .arith import HighPrecReal, _up, constant, precision, working_digits
+from .arith import MAX_DIGITS, _PAD, HighPrecReal, _up, constant, precision, working_digits
 from .primes import chi4
+
+_FIRST_ROWS = 32
+
+# Row m holds (S_m, T_m), with T_0 = 0.
+_rows: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -28,19 +34,46 @@ class BetaValue:
     value: HighPrecReal
 
 
-def euler_numbers(count: int) -> list[int]:
-    """Absolute secant numbers |E_0|, |E_2|, ..., ``count`` of them, exact.
+def _triangles(count: int) -> tuple[tuple[int, int], ...]:
+    # The triangles of Knuth & Buckholtz in the form Brent & Zimmermann give
+    # (Modern Computer Arithmetic, 2010, section 4.7.2): O(count**2)
+    # updates, each a sum of two small-integer multiples, with no division.
+    sec = [1] * count
+    for k in range(1, count):
+        sec[k] = k * sec[k - 1]
+    for k in range(1, count):
+        for j in range(k + 1, count):
+            sec[j] = (j - k) * sec[j - 1] + (j - k + 1) * sec[j]
+    tan = [0] * count
+    if count > 1:
+        tan[1] = 1
+    for k in range(2, count):
+        tan[k] = (k - 1) * tan[k - 1]
+    for k in range(2, count):
+        for j in range(k, count):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    return tuple(zip(sec, tan))
 
-    The signed numbers satisfy sum_{k=0..m} C(2m, 2k) E_2k = 0, so each new
-    one is an integer combination of its predecessors; no rounding anywhere.
+
+def secant_tangent(count: int) -> tuple[tuple[int, int], ...]:
+    """Rows (S_m, T_m), exact, for m = 0 up to at least ``count`` - 1.
+
+    S_m = |E_2m| are the secant numbers (1, 1, 5, 61, ...) and T_m the
+    tangent numbers (T_0 = 0, then 1, 2, 16, ...).  The rows come from one
+    cached table; a request past its end replaces it by one at least twice
+    as long, never changing it in place.
     """
+    global _rows
+    if len(_rows) < count:
+        _rows = _triangles(max(count, 2 * len(_rows), _FIRST_ROWS))
+    return _rows
+
+
+def euler_numbers(count: int) -> list[int]:
+    """Absolute secant numbers |E_0|, |E_2|, ..., ``count`` of them, exact."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    signed = [1]
-    for m in range(1, count):
-        acc = sum(math.comb(2 * m, 2 * k) * signed[k] for k in range(m))
-        signed.append(-acc)
-    return [abs(e) for e in signed]
+    return [s for s, _ in secant_tangent(count)[:count]]
 
 
 def beta_closed(n: int, digits: int | None = None) -> BetaValue:
@@ -48,7 +81,13 @@ def beta_closed(n: int, digits: int | None = None) -> BetaValue:
     _require_odd(n)
     digits = digits or working_digits()
     m = (n - 1) // 2
-    e_abs = euler_numbers(m + 1)[m]
+    # pi is asked for at digits + 8 + n // 2, and `constant` stops _PAD short
+    # of the precision cap.
+    reach = MAX_DIGITS - _PAD - 8 - n // 2
+    if digits > reach:
+        raise ValueError(f"cannot certify beta({n}) to {digits} digits; "
+                         f"the closed form certifies at most {reach} digits")
+    e_abs = secant_tangent(m + 1)[m][0]
     # pi**n amplifies pi's relative error about n-fold; pad accordingly.
     with precision(digits + 10 + n // 2):
         pi = constant("pi", digits + 8 + n // 2)

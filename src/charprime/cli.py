@@ -24,7 +24,7 @@ from .arith import format_decimal, parse_decimal, precision
 from .beta import beta_closed
 from .checks import run_checks
 from .exclusion import SeriesValue
-from .logmethod import assemble_O, closed_form_scan, w_value
+from .logmethod import assemble_O, closed_form_scan, w_inversion
 from .report import TABLE_IDS, build_table, to_csv, to_json, to_json_obj, to_text
 
 ENV_WORKING_DIGITS = "CHARPRIME_WORKING_DIGITS"
@@ -78,12 +78,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "raised as --digits needs")
     p.add_argument("--primes", type=int, default=10_000,
                    help="cap on exclusion depth in primes (default 10000); read by "
-                        "compute W n for n >= 3, reproduce (table s28) and verify "
-                        "(the oracle steps); compute W 1, compute beta and scan "
-                        "ignore it")
+                        "verify (the oracle steps) and echoed by reproduce; compute "
+                        "and scan accept it and ignore it")
     p.add_argument("--max-k", type=int, default=10,
                    help="least assembly depth in terms W(2k+1)/(2k+1) (default 10); "
-                        "raised as --digits needs")
+                        "raised as --digits needs; read by reproduce (table s28) "
+                        "and scan (its default value); compute accepts it and "
+                        "ignores it")
     p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--decimal-style", choices=STYLES, default="period")
 
@@ -118,10 +119,7 @@ def cmd_compute(args) -> int:
     cfg.validate()
     with precision(cfg.working_digits):
         if args.series == "W":
-            if args.n == 1:
-                sv = assemble_O(cfg.max_k, cfg.digits).series
-            else:
-                sv = w_value(args.n, cfg.digits, max_primes=cfg.primes)
+            sv = w_inversion(args.n, cfg.digits)
         else:
             bv = beta_closed(args.n, cfg.digits)
             sv = SeriesValue("beta", args.n, bv.value, method="closed-form", rigorous=True)

@@ -98,29 +98,22 @@ def _odd_power_tail(start: int, n: int) -> Decimal:
 
 
 def run(n: int, num_primes: int, digits: int | None = None) -> SeriesValue:
-    """Exclude ``num_primes`` primes and report W(n) ~= 1 - V.
+    """Exclude ``num_primes`` primes and report W(n) ~= 1 - V, odd n >= 3.
 
-    For n >= 3 the error bound is rigorous (arithmetic plus the surviving
-    composite tail).  For n = 1 the recurrence still converges in practice
-    but no usable tail bound exists; the bound reported is the magnitude of
-    the last step, and the result is flagged non-rigorous.
+    The error bound is rigorous: arithmetic plus the surviving composite
+    tail.  n = 1 is rejected; its recurrence converges, but no usable tail
+    bound exists.
     """
+    if n < 3:
+        raise ValueError(f"run needs odd n >= 3, got {n}")
     if num_primes < 1:
         raise ValueError("num_primes must be >= 1")
     state = init_state(n, digits)
-    previous = state.V
     for _ in range(num_primes):
-        previous = state.V
         state = step(state)
     w = 1 - state.V
-    if n >= 3:
-        err = _up(w.err, composite_tail_bound(n, state.k))
-        rigorous = True
-    else:
-        err = _up(w.err, (state.V - previous).value.copy_abs())
-        rigorous = False
-    value = HighPrecReal(w.value, err)
-    return SeriesValue(series="W", n=n, value=value, method="exclusion", rigorous=rigorous)
+    value = HighPrecReal(w.value, _up(w.err, composite_tail_bound(n, state.k)))
+    return SeriesValue(series="W", n=n, value=value, method="exclusion", rigorous=True)
 
 
 def sieved_tail_oracle(n: int, k: int, limit: int) -> HighPrecReal:

@@ -1,4 +1,5 @@
-"""The accelerated route to W(1): products, the half-log-2 identity, scans.
+"""The accelerated routes to W(n): products, the half-log-2 identity,
+the inversion of the Euler product, scans.
 
 Taking logarithms of the product 2 = prod (p - chi4(p))/(p + chi4(p)) over
 odd primes and expanding each factor as the odd-power series in 1/p groups
@@ -9,7 +10,14 @@ the terms by exponent into the master identity
 where W(n) = sum over odd primes of (-chi4(p))/p^n.  Every W(n) with n >= 3
 converges fast and is certified by the exclusion recurrence (or, for large
 n, by the complement of beta(n)), so W(1) falls out to many digits even
-though its own series converges painfully slowly.
+though its own series converges painfully slowly.  This is the memoir's
+route, and the table reproductions use it.
+
+The third route, ``w_inversion``, Moebius-inverts the Euler products of
+the L-functions of chi4 and its powers (Flajolet & Vardi 1996; Languasco
+& Zaccagnini, Exp. Math. 19, 2010).  For odd n every L-value it needs is a
+rational multiple of a power of pi, so any odd n certifies to hundreds of
+digits.
 """
 
 from __future__ import annotations
@@ -18,12 +26,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
-from .arith import (HighPrecReal, _ERR_UP, _PAD, _ulp, _up, constant, ln_fraction,
-                    precision, working_digits)
-from .beta import beta_closed
-from .exclusion import SeriesValue, composite_tail_bound, run
+from .arith import (MAX_DIGITS, HighPrecReal, _ERR_DOWN, _ERR_UP, _PAD, _QUANTIZE_CTX, _ulp,
+                    _up, constant, half_log_ratio, ln_fraction, precision, working_digits)
+from .beta import beta_closed, secant_tangent
+from .exclusion import SeriesValue, _odd_power_tail, composite_tail_bound, run
 from .primes import chi4, nth_odd_prime, odd_primes
 
 _ONE = Decimal(1)
@@ -144,6 +152,122 @@ def _w_reach(n: int, max_primes: int = 10_000) -> int:
     # bound is taken at guard precision so a low ambient one cannot shift it.
     with precision(_PAD):
         return -(4 * composite_tail_bound(n, max_primes)).adjusted() - 1
+
+
+# ---------------------------------------------------------------------------
+# W(n) for odd n >= 1 by Moebius inversion of L-values
+# ---------------------------------------------------------------------------
+
+# Primes below M are summed directly; 61 is the first odd number above M.
+_M = 60
+
+# pi is asked for at digits + _PAD, and `constant` stops _PAD short of the
+# precision cap.
+_INVERSION_MAX_DIGITS = MAX_DIGITS - 2 * _PAD
+
+
+def _mobius(k: int) -> int:
+    mu, d = 1, 2
+    while d * d <= k:
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if k > 1 else mu
+
+
+def _ln(x: HighPrecReal) -> HighPrecReal:
+    # ln x = +-2 * ((1/2) ln((x+1)/|x-1|)), the sign that of x - 1.
+    d = x - 1
+    if d.value > 0:
+        return 2 * half_log_ratio((x + 1) / d)
+    return -2 * half_log_ratio((x + 1) / -d)
+
+
+def _quotient(num: int, den: int) -> HighPrecReal:
+    # num/den > 0 to the working precision by one integer division, so huge
+    # exact ratios never pass through Decimal whole.  The floor of
+    # num * 10**e / den keeps at least working-digits figures, and is short
+    # of the true value by less than 10**-e.
+    e = max(0, working_digits() + 1
+            + (den.bit_length() - num.bit_length() + 1) * 30103 // 100000)
+    q = Decimal(num * 10 ** e // den)
+    return HighPrecReal(q.scaleb(-e, context=_QUANTIZE_CTX), _ONE.scaleb(-e))
+
+
+def _l_ratio(s: int, small: tuple[int, ...],
+             rows: tuple[tuple[int, int], ...]) -> HighPrecReal:
+    """L_M(s, chi4**s) / pi**s from its exact rational value.
+
+    For odd s = 2m + 1, L(s, chi4) = beta(s) = S_m pi^s / (4^(m+1) (2m)!).
+    For even s = 2m, chi4**s is the principal character mod 4, and
+    L = (1 - 2^-s) zeta(s) = m T_m pi^s / (4^m (2m)!).  Removing the primes
+    in ``small`` multiplies by their local factors (p^s - chi(p)) / p^s.
+    ``rows`` holds the secant and tangent numbers (S_m, T_m).
+    """
+    m, odd = divmod(s, 2)
+    if odd:
+        num, den = rows[m][0], 4 ** (m + 1) * factorial(2 * m)
+    else:
+        num, den = m * rows[m][1], 4 ** m * factorial(2 * m)
+    for p in small:
+        ps = p ** s
+        num *= ps - (chi4(p) if odd else 1)
+        den *= ps
+    return _quotient(num, den)
+
+
+def w_inversion(n: int, digits: int) -> SeriesValue:
+    """W(n) certified to ``digits`` decimal places, odd n >= 1.
+
+    With L_M(s, chi) = L(s, chi) * prod_{p<M} (1 - chi(p) p^-s), Moebius
+    inversion of log L_M(s, chi) = sum_{p>M} sum_j chi(p)^j / (j p^(js))
+    gives
+
+        W(n) = -sum_{p<M} chi4(p)/p^n - sum_{k<=K} mu(k)/k log L_M(kn, chi4^k).
+
+    Each |log L_M(s, chi)| is at most the sum of m^-s over odd m >= 61,
+    which `_odd_power_tail` bounds; those bounds fall geometrically in k
+    with ratio 61^-n, so the terms past K add at most the first one over
+    (1 - 61^-n), and K is the least depth at which twice the first one is
+    below a quarter unit in the last place.  The sum runs at ``digits`` plus guard digits, or
+    at the working precision if that is higher, and ``err`` covers its
+    rounding and the omitted terms.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"w_inversion needs odd n >= 1, got {n}")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if digits > _INVERSION_MAX_DIGITS:
+        raise ValueError(f"cannot certify W({n}) to {digits} digits; "
+                         f"the L-value inversion certifies at most {_INVERSION_MAX_DIGITS} digits")
+    q = _M + 1
+    tol = _ONE.scaleb(-digits) / 4
+    with precision(_PAD):
+        # The k = 1 log diverges at n = 1, so that term is always kept.
+        depth = 1 if n == 1 else 0
+        while not 2 * _odd_power_tail(q, (depth + 1) * n) < tol:
+            depth += 1
+        ratio = HighPrecReal.from_fraction(Fraction(1, q ** n))
+        k_tail = _ERR_UP.divide(_odd_power_tail(q, (depth + 1) * n),
+                                _ERR_DOWN.subtract(_ONE, _up(ratio.value, ratio.err)))
+    small = tuple(p for p in odd_primes(_M // 2) if p < _M)
+    with precision(max(digits + _PAD, working_digits())):
+        total = HighPrecReal.from_fraction(-sum(Fraction(chi4(p), p ** n) for p in small))
+        if depth:
+            pi_n = constant("pi", digits + _PAD).pow_int(n)
+            pi_s = HighPrecReal.exact(1)
+            rows = secant_tangent(depth * n // 2 + 1)
+        for k in range(1, depth + 1):
+            pi_s = pi_s * pi_n
+            mu = _mobius(k)
+            if mu:
+                l_m = pi_s * _l_ratio(k * n, small, rows)
+                total = total - _ln(l_m) * mu / k
+    value = HighPrecReal(total.value, _up(total.err, k_tail))
+    return SeriesValue("W", n, value, method="moebius-inversion", rigorous=True)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import __version__
 from .arith import HighPrecReal, constant, working_digits
 from .beta import beta_closed
 from .exclusion import init_state, step
-from .logmethod import assemble_O, w_value
+from .logmethod import assemble_O
 from .primes import chi4, odd_primes
 
 TABLE_IDS = ("s12", "s13", "s21", "s23_26", "s28")
@@ -273,14 +273,16 @@ _S28_PRINTS = (
 
 
 def build_s28(config) -> ReportTable:
-    """The final table of W(n) for odd n through 13, fully converged."""
-    rows = []
-    for n, printed in _S28_PRINTS:
-        if n == 1:
-            value = assemble_O(config.max_k, config.digits).series.value
-        else:
-            value = w_value(n, config.digits, max_primes=config.primes).value
-        rows.append(_row("s28", f"n={n}", printed, value))
+    """The final table of W(n) for odd n through 13, fully converged.
+
+    W(3)..W(13) are the assembly's own terms, certified four digits past
+    ``--digits``.  Whenever the W(1) row certifies its seven places, the
+    assembly's analytic tail has forced it through W(13).
+    """
+    assembly = assemble_O(config.max_k, config.digits)
+    values = {1: assembly.series.value}
+    values.update((s.n, s.w.value) for s in assembly.steps)
+    rows = [_row("s28", f"n={n}", printed, values[n]) for n, printed in _S28_PRINTS]
     return ReportTable("s28", tuple(rows), _config_echo(config), __version__)
 
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from charprime.arith import HighPrecReal
-from charprime.beta import BetaValue, beta_closed, beta_direct, euler_numbers
+from charprime.beta import BetaValue, beta_closed, beta_direct, euler_numbers, secant_tangent
 
 from goldens import BETA, EULER_NUMBERS_9
 
@@ -23,6 +23,23 @@ def test_euler_numbers_recurrence_is_exact():
     signed = [v if m % 2 == 0 else -v for m, v in enumerate(values)]
     for m in range(1, count):
         assert sum(math.comb(2 * m, 2 * k) * signed[k] for k in range(m + 1)) == 0
+
+
+def test_tangent_numbers_give_bernoulli_numbers():
+    rows = secant_tangent(40)
+    assert [t for _, t in rows[:8]] == [0, 1, 2, 16, 272, 7936, 353792, 22368256]
+    for m in range(1, 40):
+        # |B_2m| = 2m T_m / (4^m (4^m - 1)).
+        b = Fraction(*mp.bernfrac(2 * m))
+        assert Fraction(2 * m * rows[m][1], 4 ** m * (4 ** m - 1)) == abs(b), m
+
+
+def test_secant_tangent_table_grows_without_changing_rows():
+    short = secant_tangent(3)
+    longer = secant_tangent(len(short) + 1)
+    assert len(longer) >= 2 * len(short)
+    assert longer[:len(short)] == short
+    assert secant_tangent(1) is longer
 
 
 def test_euler_numbers_rejects_bad_count():

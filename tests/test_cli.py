@@ -32,7 +32,7 @@ def test_compute_w1(capsys):
     assert main(["compute", "W", "1", "--digits", "7"]) == 0
     out = capsys.readouterr().out
     assert "W(1) = 0.3349813" in out
-    assert "method: log-assembly" in out
+    assert "method: moebius-inversion" in out
     assert "rigorous: yes" in out
 
 
@@ -47,7 +47,7 @@ def test_compute_w13(capsys):
     assert main(["compute", "W", "13"]) == 0
     out = capsys.readouterr().out
     assert "W(13) = 0.0000006" in out
-    assert "method: beta-complement" in out
+    assert "method: moebius-inversion" in out
 
 
 def test_compute_w3_euler_comma(capsys):
@@ -57,12 +57,19 @@ def test_compute_w3_euler_comma(capsys):
 
 
 def test_compute_uncertifiable_exits_nonzero(capsys):
-    code = main(["compute", "W", "3", "--digits", "25", "--primes", "50",
-                 "--working-digits", "60"])
-    assert code == 2
+    # Past the precision cap the refusal names the most digits compute
+    # accepts, before any work; --primes is accepted and not read.
+    for digits in ("981", "5000", str(10 ** 40)):
+        assert main(["compute", "W", "3", "--digits", digits, "--primes", "50"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot certify W(3) to {digits} digits; "
+            "the L-value inversion certifies at most 980 digits\n")
+    assert main(["compute", "beta", "3", "--digits", "5000"]) == 2
     assert capsys.readouterr().err == (
-        "error: cannot certify W(3) to 25 digits within 50 primes; "
-        "they certify at most 9 digits\n")
+        "error: cannot certify beta(3) to 5000 digits; "
+        "the closed form certifies at most 981 digits\n")
+    assert main(["compute", "W", "3", "--digits", "25", "--primes", "50"]) == 0
+    assert _certified_digits(capsys.readouterr().out) >= 25
 
 
 def test_compute_rejects_even_exponent(capsys):
@@ -72,10 +79,9 @@ def test_compute_rejects_even_exponent(capsys):
 
 def test_guard_digit_validation(capsys):
     # 45 digits need 55 working digits; the library raises the default 50
-    # itself, and the refusal is the depth's.
-    assert main(["compute", "W", "3", "--digits", "45"]) == 2
-    assert ("cannot certify W(3) to 45 digits within 10000 primes; "
-            "they certify at most 20 digits") in capsys.readouterr().err
+    # itself.
+    assert main(["compute", "W", "3", "--digits", "45"]) == 0
+    assert _certified_digits(capsys.readouterr().out) >= 45
 
 
 @pytest.mark.parametrize("args", [
@@ -93,17 +99,18 @@ def test_certifies_at_default_settings(capsys, args):
 
 
 def test_compute_w1_at_default_depth(capsys):
-    assert main(["compute", "W", "1", "--digits", "15"]) == 0
-    out = capsys.readouterr().out
-    shown = Decimal(out.split("W(1) = ")[1].split()[0])
-    assert abs(shown - W1_REFERENCE) < Decimal("1e-15")
-    assert _certified_digits(out) >= 15
-    # Past 16 places W(1) is refused in its own terms, before any work.
-    for digits in ("17", "990"):
-        assert main(["compute", "W", "1", "--digits", digits]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot certify W(1) to {digits} digits; "
-            "the log assembly certifies at most 16 digits\n")
+    for digits in (15, 17, 39):
+        assert main(["compute", "W", "1", "--digits", str(digits)]) == 0
+        out = capsys.readouterr().out
+        shown = Decimal(out.split("W(1) = ")[1].split()[0])
+        assert abs(shown - W1_REFERENCE) < Decimal(1).scaleb(-digits)
+        assert "rigorous: yes" in out
+        assert _certified_digits(out) >= digits
+    # Past the precision cap W(1) is refused in its own terms, before any work.
+    assert main(["compute", "W", "1", "--digits", "990"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot certify W(1) to 990 digits; "
+        "the L-value inversion certifies at most 980 digits\n")
 
 
 def test_reproduce_is_identical_within_one_process(capsys, monkeypatch):

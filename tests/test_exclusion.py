@@ -127,17 +127,11 @@ def test_run_bound_covers_true_value():
             assert abs(res.value.value - W_TRUE[n]) <= res.value.err, (n, depth)
 
 
-def test_run_first_power_not_rigorous():
-    res = run(1, 9)
-    assert not res.rigorous
-    assert res.method == "exclusion"
-    assert res.value.err > Decimal("1e-5")
-    assert abs(res.value.value - (1 - S13_CHAIN["K"])) < Decimal("1e-19")
-
-
 def test_run_rejects_bad_depth():
     with pytest.raises(ValueError):
         run(3, 0)
+    with pytest.raises(ValueError):
+        run(1, 9)
 
 
 def test_composite_tail_bound_covers_limit_distance():

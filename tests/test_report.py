@@ -108,6 +108,16 @@ def test_s28_rows(tables):
     assert rows["n=13"].recomputed == "0.0000006"
 
 
+def test_s28_reads_the_assembly_terms(tables):
+    # W(3)..W(13) are the assembly's terms, certified four digits past
+    # --digits, so a coarse --digits still certifies the seven printed
+    # places, and --primes is not read.
+    from charprime.cli import RunConfig
+    assert build_s28(RunConfig(digits=3, primes=1)).rows == tables["s28"].rows
+    with pytest.raises(ValueError, match="s28/n=1 is not certified to 7 places"):
+        build_s28(RunConfig(digits=3, max_k=1))
+
+
 def test_unknown_table_rejected(config):
     with pytest.raises(ValueError):
         build_table("s99", config)
